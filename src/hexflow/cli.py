@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 2 invalid input, 3 inadmissible
 state, 4 non-convergence.  Verbosity comes from the environment variable
-HEXFLOW_LOG (error, info or debug; default info).
+HEXFLOW_LOG: any standard level name (DEBUG, INFO, WARNING, ERROR, CRITICAL)
+in any case; unset or unknown means INFO.
 """
 
 from __future__ import annotations
@@ -31,11 +32,15 @@ EXIT_INADMISSIBLE_STATE = 3
 EXIT_NO_CONVERGENCE = 4
 
 
+def log_level(name: str | None) -> int:
+    """Numeric level of a standard level name in any case; INFO otherwise."""
+    level = logging.getLevelName((name or "INFO").upper())
+    return level if isinstance(level, int) else logging.INFO
+
+
 def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("HEXFLOW_LOG", "info"),
-                                         logging.INFO)
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
+    logging.basicConfig(level=log_level(os.environ.get("HEXFLOW_LOG")),
+                        format="%(levelname)s %(message)s")
 
 
 def _load_target(path) -> np.ndarray:

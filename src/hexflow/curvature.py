@@ -1,18 +1,31 @@
 """Curvature vector, discrete Laplacian and energies over a whole mesh.
 
 K_i is the total boundary length at component i: the sum of the hexagon
-arc lengths at every face corner incident to i.  The discrete Laplacian is
-the dense matrix Delta[i][j] = dK_i/du_j, symmetric and negative definite
-on the admissible space.  Accumulation order is fixed (face index ascending,
-corner slot ascending) so identical inputs give bitwise-identical outputs.
+arc lengths at every face corner incident to i.  The discrete Laplacian
+Delta[i][j] = dK_i/du_j is symmetric and negative definite on the admissible
+space; `laplacian` returns it as a dense array and `sparse_laplacian` as a
+scipy CSC array with one stored entry per pair of components sharing a face.
+
+Both are views of one batched face kernel: it gathers the radii through the
+mesh's face tables, computes every edge length, arc and (3, 3) corner
+Jacobian d theta / d u with numpy, and sums them with np.bincount.  The sums
+run in a fixed order (face index ascending, corner slot ascending), so
+identical inputs give bitwise-identical outputs, and Delta is exactly
+symmetric.  The scalar functions in hexgeom are the reference it is tested
+against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csc_array
 
-from .hexgeom import corner_jacobian, edge_length, hexagon_geometry
+from .errors import DomainError, InadmissiblePairError
+from .hexgeom import (ADMISSIBILITY_MARGIN, RADIUS_MAX, _check_radius,
+                      _check_weight)
 from .mesh import ConformalState, IdealTriangulation, validate_state
 
 # Documented contract for the line-integral energy is 1e-9 absolute; the
@@ -21,36 +34,116 @@ from .mesh import ConformalState, IdealTriangulation, validate_state
 POTENTIAL_ABS_TOL = 1e-9
 _QUAD_TOL = 1e-12
 
+# _OTHER[a, e] = 3 - a - e, the slot that is neither a nor e (its diagonal
+# is a placeholder)
+_OTHER = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+_DIAG = np.arange(3)
 
-def edge_lengths(m: IdealTriangulation, s: ConformalState) -> dict[int, float]:
-    """Length of every edge at the state s, keyed by edge id."""
+
+def _sinh_acosh(x: np.ndarray) -> np.ndarray:
+    # sqrt(x-1) sqrt(x+1) keeps full accuracy near x = 1
+    return np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
+
+
+def _edge_cosh(m: IdealTriangulation, r: np.ndarray) -> np.ndarray:
+    """cosh of every edge length, in m.edges order.
+
+    Raises DomainError and InadmissiblePairError as hexgeom.edge_length does,
+    for the first offending radius, weight or edge.
+    """
+    t = m.tables
+    # one reduction per bound on the fast path; NaN fails both comparisons
+    if not (r.min() > 0.0 and r.max() <= RADIUS_MAX):
+        i = int(np.argmin((r > 0.0) & (r <= RADIUS_MAX)))
+        _check_radius(float(r[i]), f"r[{i}]")
+    if t.phi_max > RADIUS_MAX:
+        _check_weight(t.phi_max)
+    sh, ch = np.sinh(r), np.cosh(r)
+    i, j = t.ends[:, 0], t.ends[:, 1]
+    # grouped as in hexgeom.admissibility, so exactly symmetric in (r_i, r_j)
+    x = t.cosh_phi * (sh[i] * sh[j]) - ch[i] * ch[j]
+    if not x.min() > 1.0 + ADMISSIBILITY_MARGIN:
+        k = int(np.argmin(x > 1.0 + ADMISSIBILITY_MARGIN))
+        raise InadmissiblePairError(float(x[k]), float(r[i[k]]), float(r[j[k]]),
+                                    float(t.phi[k]))
+    return x
+
+
+def _hexagons(m: IdealTriangulation, s: ConformalState, jacobian: bool):
+    """The face kernel: arcs theta (F, 3), and with `jacobian` also the
+    corner Jacobians d theta_a / d u_b (F, 3, 3), symmetrized.
+
+    theta[f, k] is the arc at corner k of face f, opposite side k.
+    """
     r = s.r
-    return {e.id: edge_length(r[e.ends[0]], r[e.ends[1]], e.phi) for e in m.edges}
+    t = m.tables
+    x = _edge_cosh(m, r)
+    # products of cosh l and cosh r overflow once the radii of a face reach
+    # about 120, far past the radius (about 40) where the arcs underflow;
+    # the check below turns the resulting inf and NaN into a DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        cl, cl_next, cl_prev = x[t.sides]               # cosh l, each (F, 3)
+        sl, sl_next, sl_prev = _sinh_acosh(x)[t.sides]  # sinh l
+        # q = sinh l_{k+1} sinh l_{k+2} sinh theta_k is the same at every
+        # corner and equals sqrt(sum cosh^2 l + 2 prod cosh l - 1), a sum of
+        # positive terms; sinh theta = sqrt(cosh^2 theta - 1) would lose
+        # digits for small arcs.  theta = log(cosh theta + sinh theta) is then
+        # accurate to a few ulps absolute however small the arc.
+        q = np.sqrt((cl * cl).sum(axis=1) + 2.0 * cl.prod(axis=1) - 1.0)
+        s_adj = sl_next * sl_prev
+        theta = np.log((cl + cl_next * cl_prev + q[:, None]) / s_adj)
+        total = theta.sum()
+        if jacobian:
+            # chain rule d theta/d l . d l/d r . d r/d u, with d r_b/d u_b =
+            # sinh r_b folded into d l/d r
+            ct = (cl + cl_next * cl_prev) / s_adj       # cosh theta
+            dtheta_dl = -ct[:, _OTHER]
+            dtheta_dl[:, _DIAG, _DIAG] = 1.0
+            dtheta_dl *= (sl / q[:, None])[:, :, None]
+            cr = np.cosh(r)[t.vertex]                   # cosh r at each corner
+            dl_du = (cr[:, _OTHER] + cr[:, None, :] * cl[:, :, None]) / sl[:, :, None]
+            dl_du[:, _DIAG, _DIAG] = 0.0                # side k misses corner k
+            jac = dtheta_dl @ dl_du
+            jac = 0.5 * (jac + jac.transpose(0, 2, 1))
+            total += jac.sum()
+    if not math.isfinite(total):
+        raise DomainError(f"radii up to {float(r.max())!r} overflow the face kernel")
+    return (theta, jac) if jacobian else theta
+
+
+def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
+    """Length of every edge at the state s, in m.edges order."""
+    x = _edge_cosh(m, s.r)
+    return np.log(x + _sinh_acosh(x))
 
 
 def curvature(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Generalized curvature K (boundary lengths), one entry per component."""
-    lengths = edge_lengths(m, s)
-    k = np.zeros(m.n_boundary)
-    for f in m.faces:
-        geo = hexagon_geometry(tuple(lengths[eid] for eid in f.edges))
-        for slot in range(3):
-            k[f.opposite[slot]] += geo.theta[slot]
-    return k
+    theta = _hexagons(m, s, jacobian=False)
+    return np.bincount(m.tables.vertex.ravel(), weights=theta.ravel(),
+                       minlength=m.n_boundary)
+
+
+def _laplacian_data(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
+    """Stored entries of Delta in the CSC order of m.laplacian_pattern."""
+    _theta, jac = _hexagons(m, s, jacobian=True)
+    p = m.laplacian_pattern
+    return np.bincount(p.slot, weights=jac.ravel(), minlength=p.indices.size)
+
+
+def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
+    """Delta = dK/du as a scipy CSC array; same entries as `laplacian`."""
+    p = m.laplacian_pattern
+    n = m.n_boundary
+    return csc_array((_laplacian_data(m, s), p.indices, p.indptr), shape=(n, n))
 
 
 def laplacian(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
-    """Dense matrix dK_i/du_j, assembled from per-face corner Jacobians."""
-    r = s.r
+    """Dense matrix dK_i/du_j, assembled from the per-face corner Jacobians."""
+    p = m.laplacian_pattern
     n = m.n_boundary
     a = np.zeros((n, n))
-    for f in m.faces:
-        rr = tuple(r[v] for v in f.opposite)
-        pp = tuple(m.edge_by_id[eid].phi for eid in f.edges)
-        jac = corner_jacobian(rr, pp)
-        for p in range(3):
-            for q in range(3):
-                a[f.opposite[p], f.opposite[q]] += jac[p, q]
+    a[p.indices, p.col] = _laplacian_data(m, s)
     return a
 
 

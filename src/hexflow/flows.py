@@ -20,14 +20,13 @@ and raises StepCollapseError after 60 halvings.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DefinitenessError, DomainError, InadmissibleFaceError,
-                     InadmissiblePairError, StateError, StepCollapseError)
+from .errors import (DefinitenessError, DomainError, InadmissiblePairError,
+                     StateError, StepCollapseError)
 from .curvature import calabi_energy, curvature, edge_lengths, laplacian, ricci_potential
 from .mesh import ConformalState, IdealTriangulation, validate_state
 
@@ -46,8 +45,9 @@ class FlowKind:
         if self.name not in ("ricci", "calabi", "fractional"):
             raise ValueError(f"unknown flow kind {self.name!r}")
         if self.name == "fractional":
-            if self.s is None or not math.isfinite(self.s):
-                raise ValueError("fractional flow needs a finite order s")
+            if self.s is None or not 0.0 <= self.s <= 1.0:
+                raise ValueError(f"fractional flow needs an order s in [0, 1], "
+                                 f"got {self.s!r}")
         elif self.s is not None:
             raise ValueError(f"{self.name} flow takes no order parameter")
 
@@ -178,7 +178,7 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
             step=step, t=t, dt=dt_used, residual_inf=resid_inf,
             calabi_energy=energy,
             ricci_potential_delta=ricci_potential(m, state, s0, cfg.kbar),
-            min_edge_length=min(edge_lengths(m, state).values()),
+            min_edge_length=float(np.min(edge_lengths(m, state))),
             max_u=float(np.max(state.u)),
         ))
 
@@ -194,8 +194,7 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
                 y_half = _rk4_step(m, state.u, 0.5 * dt, cfg)
                 y_half = _rk4_step(m, y_half, 0.5 * dt, cfg)
                 new_state = validate_state(m, y_half)
-            except (StateError, DomainError, InadmissiblePairError,
-                    InadmissibleFaceError):
+            except (StateError, DomainError, InadmissiblePairError):
                 dt *= 0.5
                 continue
             if float(np.max(np.abs(y_full - y_half))) > STEP_ERROR_TOL:

@@ -13,7 +13,9 @@ are boundary arcs; the arc opposite edge k has length theta_k with
     cosh theta_k = (cosh l_k + cosh l_{k+1} cosh l_{k+2})
                    / (sinh l_{k+1} sinh l_{k+2}).
 
-Everything here is a pure function of its float arguments.
+Everything here is a pure function of its float arguments.  These scalar
+functions are the reference for the batched face kernel in curvature, which
+evaluates the same formulas for every face of a mesh at once.
 """
 
 from __future__ import annotations
@@ -59,11 +61,29 @@ def to_conformal(r: float) -> float:
     return math.log1p(-e) - math.log1p(e)
 
 
+def radii(u):
+    """Radii r = 2 artanh(exp(u)) of conformal factors u < 0, elementwise.
+
+    Evaluated as log1p(2 e^u / (1 - e^u)) with 1 - e^u = -expm1(u), which
+    keeps full relative accuracy at both ends: 2 artanh(exp(u)) fails for
+    |u| below 1.1e-16, where exp(u) rounds to 1, and -log(tanh(-u/2))
+    rounds to 0 for u below about -37.  The result overflows to inf for
+    |u| below 1.1e-308 and underflows to 0 for u below about -745.
+    """
+    with np.errstate(over="ignore"):
+        return np.log1p(-2.0 * np.exp(u) / np.expm1(u))
+
+
 def from_conformal(u: float) -> float:
-    """Radius r = 2 artanh(exp(u)) of a conformal factor u < 0."""
+    """Radius r = 2 artanh(exp(u)) of a conformal factor u < 0.
+
+    Raises DomainError when u or the radius is out of range (see radii).
+    """
     if not math.isfinite(u) or u >= 0.0:
         raise DomainError(f"conformal factor must be a finite negative real, got {u!r}")
-    return 2.0 * math.atanh(math.exp(u))
+    r = float(radii(u))
+    _check_radius(r, f"radius of u={u!r}")
+    return r
 
 
 def admissibility(r_i: float, r_j: float, phi: float) -> float:
@@ -164,14 +184,8 @@ def corner_jacobian(r: tuple[float, float, float],
     # dl_dr[e][b] = d l_e / d r_b; zero when b is the corner opposite edge e.
     dl_dr = np.zeros((3, 3))
     for e in range(3):
-        sle = math.sinh(l[e])
-        cle = math.cosh(l[e])
-        for b in range(3):
-            if b == e:
-                continue
-            other = 3 - e - b
-            dl_dr[e][b] = (math.cosh(r[other]) + math.cosh(r[b]) * cle) / (
-                math.sinh(r[b]) * sle)
+        a, b = (e + 1) % 3, (e + 2) % 3
+        dl_dr[e][a], dl_dr[e][b] = d_length_d_radius(r[a], r[b], phi[e])
 
     dr_du = np.diag([math.sinh(rk) for rk in r])
     return dtheta_dl @ dl_dr @ dr_du

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormatError, StateError
-from .hexgeom import ADMISSIBILITY_MARGIN, from_conformal, to_conformal
+from .hexgeom import ADMISSIBILITY_MARGIN, radii, to_conformal
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,46 @@ class Edge:
 class Face:
     edges: tuple[int, int, int]            # edge ids
     opposite: tuple[int, int, int]         # opposite[k] is the corner opposite edges[k]
+
+
+@dataclass(frozen=True)
+class FaceTables:
+    """Index arrays of a mesh for the batched face kernel in curvature.
+
+    Slot k of face f is its corner k together with the side opposite it;
+    sides[0] lists the side of every slot, and sides[1] and sides[2] the
+    sides of slots k + 1 and k + 2 (mod 3), the two that meet at corner k.
+    """
+
+    sides: np.ndarray     # (3, F, 3) position in m.edges of the side at slots k, k+1, k+2
+    vertex: np.ndarray    # (F, 3) boundary component at each corner
+    ends: np.ndarray      # (E, 2) endpoints of each edge
+    phi: np.ndarray       # (E,) edge weights
+    cosh_phi: np.ndarray  # (E,)
+    phi_max: float
+
+
+@dataclass(frozen=True)
+class LaplacianPattern:
+    """Where the corner Jacobians of a mesh land in Delta.
+
+    Delta has one stored entry per (row, column) pair of corners sharing a
+    face, in compressed sparse column (CSC) order: column j holds rows
+    indices[indptr[j]:indptr[j + 1]], ascending, and col names the column
+    of every stored entry.
+    """
+
+    slot: np.ndarray      # (9F,) CSC entry of corner-Jacobian entry (f, a, b), flattened
+    indptr: np.ndarray    # (N + 1,)
+    indices: np.ndarray   # (nnz,) row of each stored entry
+    col: np.ndarray       # (nnz,) column of each stored entry
+
+
+def _read_only(tables):
+    for a in vars(tables).values():
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -106,6 +146,32 @@ class IdealTriangulation:
     def edge_by_id(self) -> dict[int, Edge]:
         return {e.id: e for e in self.edges}
 
+    @cached_property
+    def tables(self) -> FaceTables:
+        """Built on first use, so that parsing and checking a mesh skip it."""
+        position = {e.id: k for k, e in enumerate(self.edges)}
+        edge = np.array([[position[i] for i in f.edges] for f in self.faces], dtype=np.intp)
+        phi = np.array([e.phi for e in self.edges])
+        return _read_only(FaceTables(
+            sides=np.array([edge, edge[:, [1, 2, 0]], edge[:, [2, 0, 1]]]),
+            vertex=np.array([f.opposite for f in self.faces], dtype=np.intp),
+            ends=np.array([e.ends for e in self.edges], dtype=np.intp),
+            phi=phi, cosh_phi=np.cosh(phi), phi_max=float(phi.max())))
+
+    @cached_property
+    def laplacian_pattern(self) -> LaplacianPattern:
+        """Built on first use, so that evaluating K alone skips it."""
+        n = self.n_boundary
+        vertex = self.tables.vertex
+        # key col * n + row of entry (f, a, b), whose row is corner a and
+        # column corner b; sorted keys are CSC order
+        keys = (vertex[:, None, :] * n + vertex[:, :, None]).ravel()
+        stored, slot = np.unique(keys, return_inverse=True)
+        col = stored // n
+        return _read_only(LaplacianPattern(
+            slot=slot, indptr=np.searchsorted(col, np.arange(n + 1)),
+            indices=stored % n, col=col))
+
 
 @dataclass(frozen=True)
 class ConformalState:
@@ -120,9 +186,9 @@ class ConformalState:
 
     @cached_property
     def r(self) -> np.ndarray:
-        radii = np.array([from_conformal(ui) for ui in self.u])
-        radii.setflags(write=False)
-        return radii
+        r = radii(self.u)
+        r.setflags(write=False)
+        return r
 
 
 def validate_state(m: IdealTriangulation, u) -> ConformalState:
@@ -130,15 +196,17 @@ def validate_state(m: IdealTriangulation, u) -> ConformalState:
     u = np.asarray(u, dtype=float).copy()
     if u.shape != (m.n_boundary,):
         raise StateError(f"state has {u.size} components, mesh has {m.n_boundary}")
-    for i, ui in enumerate(u):
-        if not (math.isfinite(ui) and ui < 0):
-            raise StateError(f"u[{i}] = {ui!r} violates u < 0")
-    for e in m.edges:
-        i, j = e.ends
-        slack = u[i] + u[j] + e.phi
-        if slack <= ADMISSIBILITY_MARGIN:
-            raise StateError(f"edge {e.id} constraint u_{i + 1} + u_{j + 1} > "
-                             f"-phi violated (slack {slack:.3e})")
+    # one reduction per bound on the fast path; NaN fails every comparison
+    if not (u.max() < 0 and u.min() > -math.inf):
+        i = int(np.argmin(np.isfinite(u) & (u < 0)))
+        raise StateError(f"u[{i}] = {float(u[i])!r} violates u < 0")
+    t = m.tables
+    slack = u[t.ends[:, 0]] + u[t.ends[:, 1]] + t.phi
+    if not slack.min() > ADMISSIBILITY_MARGIN:
+        k = int(np.argmin(slack > ADMISSIBILITY_MARGIN))
+        i, j = m.edges[k].ends
+        raise StateError(f"edge {m.edges[k].id} constraint u_{i + 1} + u_{j + 1} > "
+                         f"-phi violated (slack {slack[k]:.3e})")
     return ConformalState(u=u)
 
 
@@ -157,6 +225,11 @@ def _require(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
+def _is_int_list(v, length: int) -> bool:
+    # JSON true/false parse to bool, a subclass of int; type() excludes them
+    return type(v) is list and len(v) == length and all(type(x) is int for x in v)
+
+
 def parse_mesh(text: str | bytes) -> IdealTriangulation:
     """Parse and fully validate a mesh file."""
     if isinstance(text, bytes):
@@ -170,7 +243,7 @@ def parse_mesh(text: str | bytes) -> IdealTriangulation:
     for key in ("n_boundary", "edges", "faces"):
         _require(key in doc, f"mesh document missing key {key!r}")
     n = doc["n_boundary"]
-    _require(isinstance(n, int) and not isinstance(n, bool), "n_boundary must be an integer")
+    _require(type(n) is int, "n_boundary must be an integer")
     _require(isinstance(doc["edges"], list), "edges must be a list")
     _require(isinstance(doc["faces"], list), "faces must be a list")
 
@@ -179,11 +252,9 @@ def parse_mesh(text: str | bytes) -> IdealTriangulation:
         _require(isinstance(e, dict), f"edge entry {idx} must be an object")
         for key in ("id", "ends", "phi"):
             _require(key in e, f"edge entry {idx} missing key {key!r}")
-        _require(isinstance(e["id"], int), f"edge entry {idx}: id must be an integer")
+        _require(type(e["id"]) is int, f"edge entry {idx}: id must be an integer")
         ends = e["ends"]
-        _require(isinstance(ends, list) and len(ends) == 2
-                 and all(isinstance(v, int) for v in ends),
-                 f"edge entry {idx}: ends must be a pair of integers")
+        _require(_is_int_list(ends, 2), f"edge entry {idx}: ends must be a pair of integers")
         _require(isinstance(e["phi"], (int, float)) and not isinstance(e["phi"], bool),
                  f"edge entry {idx}: phi must be a number")
         edges.append(Edge(id=e["id"], ends=(ends[0] - 1, ends[1] - 1),
@@ -195,11 +266,8 @@ def parse_mesh(text: str | bytes) -> IdealTriangulation:
         for key in ("edges", "opposite_vertices"):
             _require(key in f, f"face entry {idx} missing key {key!r}")
         fe, fo = f["edges"], f["opposite_vertices"]
-        _require(isinstance(fe, list) and len(fe) == 3
-                 and all(isinstance(v, int) for v in fe),
-                 f"face entry {idx}: edges must be a triple of edge ids")
-        _require(isinstance(fo, list) and len(fo) == 3
-                 and all(isinstance(v, int) for v in fo),
+        _require(_is_int_list(fe, 3), f"face entry {idx}: edges must be a triple of edge ids")
+        _require(_is_int_list(fo, 3),
                  f"face entry {idx}: opposite_vertices must be a triple of integers")
         faces.append(Face(edges=tuple(fe), opposite=tuple(v - 1 for v in fo)))
 

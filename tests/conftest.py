@@ -114,3 +114,64 @@ def fd_corner_jacobian(u3, phi3, h=1e-6):
         um[b] -= h
         jac[:, b] = (face_thetas(up, phi3) - face_thetas(um, phi3)) / (2 * h)
     return jac
+
+
+def torus_grid_doc(n: int, phi) -> dict:
+    """The n x n torus grid (n >= 3): vertex (i, j) -> i*n + j + 1, each
+    square (a, b, c, d) split into faces (a, b, d) and (a, d, c).  phi is
+    indexed by 0-based edge id; square s owns edges 3s+1 (a-b), 3s+2 (a-c)
+    and 3s+3 (a-d)."""
+    def vid(i, j):
+        return (i % n) * n + (j % n) + 1
+
+    def eid(i, j, kind):
+        return 3 * ((i % n) * n + (j % n)) + kind + 1
+
+    edges, faces = [], []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)
+            for kind, ends in enumerate(((a, b), (a, c), (a, d))):
+                k = eid(i, j, kind)
+                edges.append({"id": k, "ends": list(ends), "phi": float(phi[k - 1])})
+            faces.append({"edges": [eid(i, j + 1, 1), eid(i, j, 2), eid(i, j, 0)],
+                          "opposite_vertices": [a, b, d]})
+            faces.append({"edges": [eid(i + 1, j, 0), eid(i, j, 1), eid(i, j, 2)],
+                          "opposite_vertices": [a, d, c]})
+    return {"n_boundary": n * n, "edges": edges, "faces": faces}
+
+
+def admissible_state(m, rng, lo=0.05, hi=0.95):
+    """u_i = -U(lo, hi) * min(1, phi_min(i) / 2), phi_min(i) the smallest
+    weight at component i; hi < 1 keeps every edge slack >= (1 - hi) phi."""
+    phi_min = np.full(m.n_boundary, np.inf)
+    for e in m.edges:
+        for v in e.ends:
+            phi_min[v] = min(phi_min[v], e.phi)
+    u = -rng.uniform(lo, hi, m.n_boundary) * np.minimum(1.0, phi_min / 2.0)
+    return hf.validate_state(m, u)
+
+
+def reference_curvature(m, s):
+    """K by a loop over faces of the scalar hexgeom functions."""
+    r = [hf.from_conformal(x) for x in s.u]
+    lengths = {e.id: hf.edge_length(r[e.ends[0]], r[e.ends[1]], e.phi) for e in m.edges}
+    k = np.zeros(m.n_boundary)
+    for f in m.faces:
+        geo = hf.hexagon_geometry(tuple(lengths[eid] for eid in f.edges))
+        for slot in range(3):
+            k[f.opposite[slot]] += geo.theta[slot]
+    return k
+
+
+def reference_laplacian(m, s):
+    """Dense Delta by a loop over faces of hexgeom.corner_jacobian."""
+    r = [hf.from_conformal(x) for x in s.u]
+    a = np.zeros((m.n_boundary, m.n_boundary))
+    for f in m.faces:
+        jac = hf.corner_jacobian(tuple(r[v] for v in f.opposite),
+                                 tuple(m.edge_by_id[eid].phi for eid in f.edges))
+        for p in range(3):
+            for q in range(3):
+                a[f.opposite[p], f.opposite[q]] += jac[p, q]
+    return a

@@ -1,10 +1,14 @@
 import json
+import logging
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hexflow as hf
-from hexflow.cli import main
+from hexflow.cli import log_level, main
 from conftest import K_PANTS_R1, PANTS_DOC, TORUS_DOC, U_OF_R1
 
 
@@ -66,6 +70,11 @@ class TestCurvature:
         state = write_json(tmp_path, "bad_state.json", {"u": [-1.0, -1.0, -0.5]})
         assert main(["curvature", pants_file, "--state", state]) == 3
 
+    def test_radius_past_overflow_exit_3(self, pants_file, tmp_path):
+        # u = -1e-300 is admissible, but its radius (691) overflows the kernel
+        state = write_json(tmp_path, "huge_r.json", {"u": [-1e-300, -0.5, -0.5]})
+        assert main(["curvature", pants_file, "--state", state]) == 3
+
     def test_missing_state_key_exit_2(self, pants_file, tmp_path):
         state = write_json(tmp_path, "no_key.json", {"radii": [1, 1, 1]})
         assert main(["curvature", pants_file, "--state", state]) == 2
@@ -103,6 +112,12 @@ class TestFlow:
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("s", [2.0, -1.0, "nan"])
+    def test_frac_order_out_of_range_exit_2(self, pants_file, r1_state_file, tmp_path, s):
+        args, _, _ = self.flow_args(pants_file, r1_state_file, tmp_path,
+                                    [2.0] * 3, kind="frac", s=s)
+        assert main(args) == 2
 
     def test_frac_with_s_runs(self, pants_file, r1_state_file, tmp_path):
         args, out, _ = self.flow_args(pants_file, r1_state_file, tmp_path,
@@ -155,6 +170,18 @@ class TestSolve:
         target = write_json(tmp_path, "target.json", {"kbar": [2.0]})
         assert main(["solve", torus_file, "--target", target]) == 0
 
+    def test_indefinite_jacobian_exit_4(self, pants_file, tmp_path, caplog,
+                                        monkeypatch):
+        # a Jacobian with the wrong sign reaches the factorization, which
+        # raises DefinitenessError; the CLI maps it to an exit code
+        solver = sys.modules["hexflow.solver"]
+        sparse_laplacian = solver.sparse_laplacian
+        monkeypatch.setattr(solver, "sparse_laplacian",
+                            lambda m, s: -sparse_laplacian(m, s))
+        target = write_json(tmp_path, "target.json", {"kbar": [1.0, 1.0, 1.0]})
+        assert main(["solve", pants_file, "--target", target]) == 4
+        assert "not positive definite" in caplog.text
+
     def test_explicit_start(self, pants_file, tmp_path):
         target = write_json(tmp_path, "target.json", {"kbar": [2.0, 2.0, 2.0]})
         state = write_json(tmp_path, "start.json", {"u": [-0.4, -0.6, -0.5]})
@@ -174,3 +201,26 @@ class TestRoundTrip:
         (tmp_path / "o2.json").write_text(json.dumps({"u": list(map(float, u1))}))
         u2 = hf.load_state_vector(str(tmp_path / "o2.json"))
         assert np.array_equal(u1, u2)
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("name,level", [
+        ("DEBUG", logging.DEBUG), ("debug", logging.DEBUG), ("Info", logging.INFO),
+        ("warning", logging.WARNING), ("WARN", logging.WARNING),
+        ("error", logging.ERROR), ("Critical", logging.CRITICAL),
+    ])
+    def test_standard_names_any_case(self, name, level):
+        assert log_level(name) == level
+
+    @pytest.mark.parametrize("name", [None, "", "verbose", "Level 5"])
+    def test_unknown_falls_back_to_info(self, name):
+        assert log_level(name) == logging.INFO
+
+
+def test_readme_mesh_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    meshes = [b for b in blocks if '"n_boundary"' in b]
+    assert len(meshes) == 1
+    m = hf.parse_mesh(meshes[0])
+    assert (m.n_boundary, len(m.edges), len(m.faces)) == (3, 3, 2)

@@ -21,6 +21,15 @@ class TestFlowKind:
         with pytest.raises(ValueError):
             hf.FlowKind.fractional(float("nan"))
 
+    @pytest.mark.parametrize("s", [-1.0, 2.0, float("nan"), float("inf"), -1e-12])
+    def test_fractional_order_outside_unit_interval(self, s):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            hf.FlowKind.fractional(s)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_fractional_order_in_unit_interval(self, s):
+        assert hf.FlowKind.fractional(s).s == s
+
     def test_plain_kinds_take_no_order(self):
         with pytest.raises(ValueError):
             hf.FlowKind("ricci", 0.5)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -40,10 +41,26 @@ class TestConformalChange:
         with pytest.raises(hf.DomainError):
             hf.to_conformal(bad)
 
-    @pytest.mark.parametrize("bad", [0.0, 0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, 0.5, math.inf, math.nan, -1e-310, -800.0])
     def test_from_conformal_domain(self, bad):
         with pytest.raises(hf.DomainError):
             hf.from_conformal(bad)
+
+    @staticmethod
+    def exact_radius(u):
+        with mpmath.workdps(40):
+            return float(2 * mpmath.atanh(mpmath.exp(mpmath.mpf(u))))
+
+    @pytest.mark.parametrize("u", [-1e-17, -1e-16, -1e-12, -0.5, -10.0, -40.0, -300.0])
+    def test_from_conformal_accurate_at_both_ends(self, u):
+        assert rel_err(hf.from_conformal(u), self.exact_radius(u)) < 1e-15
+
+    @pytest.mark.parametrize("u", [-1e-17, -1e-16, -5e-17])
+    def test_state_radius_near_zero(self, pants, u):
+        # exp(u) rounds to 1 for |u| < 1.1e-16, where 2 artanh(exp(u)) fails
+        r = hf.validate_state(pants, [u, -0.5, -0.5]).r
+        assert np.isfinite(r[0])
+        assert rel_err(r[0], self.exact_radius(u)) < 1e-15
 
 
 class TestEdgeLength:

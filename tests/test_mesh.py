@@ -75,6 +75,20 @@ class TestParse:
         with pytest.raises(hf.FormatError, match="missing key"):
             hf.parse_mesh(json.dumps({"n_boundary": 3, "edges": []}))
 
+    @pytest.mark.parametrize("section,index,key,value", [
+        ("edges", 0, "id", True),
+        ("edges", 0, "ends", [True, 2]),
+        ("edges", 1, "ends", [2, False]),
+        ("faces", 0, "edges", [True, 2, 3]),
+        ("faces", 1, "opposite_vertices", [3, True, 2]),
+    ])
+    def test_boolean_integer_rejected(self, section, index, key, value):
+        # JSON true/false parse to bool, a subclass of int; true would read as 1
+        doc = json.loads(json.dumps(PANTS_DOC))
+        doc[section][index][key] = value
+        with pytest.raises(hf.FormatError, match="integer|edge ids"):
+            hf.parse_mesh(json.dumps(doc))
+
 
 class TestValidateState:
     def test_accepts_interior_point(self, pants):

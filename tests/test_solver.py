@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 import hexflow as hf
+from hexflow.solver import factor_spd
+from conftest import sample_valid_states
 
 
 @pytest.fixture
@@ -87,3 +90,32 @@ class TestNewtonSolve:
             hf.newton_solve(pants, pants_r1, np.array([1.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
             hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]), tol=0.0)
+
+
+class TestFactorSpd:
+    @pytest.mark.parametrize("a", [
+        np.diag([1.0, -1.0]),                      # indefinite, diagonal pivots
+        np.array([[1.0, 2.0], [2.0, 1.0]]),        # indefinite, positive diagonal
+        np.array([[0.0, 1.0], [1.0, 0.0]]),        # zero diagonal: off-diagonal pivot
+        np.array([[1.0, 1.0], [1.0, 1.0]]),        # singular
+        np.zeros((3, 3)),                          # singular
+        np.array([[np.nan]]),
+    ])
+    def test_not_positive_definite(self, a):
+        with pytest.raises(hf.DefinitenessError):
+            factor_spd(csc_array(a))
+
+    def test_solves_spd_system(self):
+        rng = np.random.default_rng(41)
+        b = rng.normal(size=(6, 6))
+        a = b @ b.T + 6.0 * np.eye(6)
+        x = rng.normal(size=6)
+        assert np.allclose(factor_spd(csc_array(a)).solve(a @ x), x, rtol=1e-12)
+
+    def test_negated_laplacian_factors(self, pants, torus):
+        rng = np.random.default_rng(43)
+        for m in (pants, torus):
+            for s in sample_valid_states(m, 5, rng):
+                lu = factor_spd(-hf.sparse_laplacian(m, s))
+                r = rng.normal(size=m.n_boundary)
+                assert np.allclose(-hf.laplacian(m, s) @ lu.solve(r), r, rtol=1e-12)
