@@ -16,8 +16,9 @@ import sys
 
 import numpy as np
 
-from .errors import (DomainError, FormatError, HexflowError, NoDescentError,
-                     StateError, StepCollapseError)
+from .errors import (DomainError, FormatError, HexflowError,
+                     InadmissiblePairError, NoDescentError, StateError,
+                     StepCollapseError)
 from .curvature import curvature
 from .flows import FlowConfig, FlowKind, Status, integrate
 from .mesh import (euler_characteristic, load_mesh, load_state_vector,
@@ -206,7 +207,7 @@ def main(argv=None) -> int:
     except (OSError, FormatError) as exc:
         logger.error("%s", exc)
         return EXIT_INVALID_INPUT
-    except (StateError, DomainError) as exc:
+    except (StateError, DomainError, InadmissiblePairError) as exc:
         logger.error("inadmissible state: %s", exc)
         return EXIT_INADMISSIBLE_STATE
     except ValueError as exc:

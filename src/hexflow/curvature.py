@@ -13,26 +13,38 @@ run in a fixed order (face index ascending, corner slot ascending), so
 identical inputs give bitwise-identical outputs, and Delta is exactly
 symmetric.  The scalar functions in hexgeom are the reference it is tested
 against.
+
+The Ricci potential is a line integral of K along a segment of states, by
+16-point Gauss-Legendre quadrature checked against 32-point, bisecting the
+segment where the two disagree.  The 48 nodes of a segment are evaluated by
+one call of the same kernel over the mesh's tables tiled 48 times, one
+disjoint copy per node state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.sparse import csc_array
 
 from .errors import DomainError, InadmissiblePairError
 from .hexgeom import (ADMISSIBILITY_MARGIN, RADIUS_MAX, _check_radius,
-                      _check_weight)
-from .mesh import ConformalState, IdealTriangulation, validate_state
+                      _check_weight, radii)
+from .mesh import ConformalState, FaceTables, IdealTriangulation, check_admissible
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 # Documented contract for the line-integral energy is 1e-9 absolute; the
 # quadrature itself is run tighter so finite differences of the energy
-# remain accurate.
+# remain accurate.  A segment is accepted when GL16 and GL32 agree within
+# _GL_TOL per unit of segment length, relative to the integrand's size
+# where that exceeds 1, so that rounding in a large integrand cannot keep a
+# piece from being accepted.
 POTENTIAL_ABS_TOL = 1e-9
-_QUAD_TOL = 1e-12
+_GL_TOL = 1e-12
 
 # _OTHER[a, e] = 3 - a - e, the slot that is neither a nor e (its diagonal
 # is a placeholder)
@@ -45,13 +57,12 @@ def _sinh_acosh(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
 
 
-def _edge_cosh(m: IdealTriangulation, r: np.ndarray) -> np.ndarray:
-    """cosh of every edge length, in m.edges order.
+def _edge_cosh(t: FaceTables, r: np.ndarray) -> np.ndarray:
+    """cosh of every edge length of the tables t at the radii r, in edge order.
 
     Raises DomainError and InadmissiblePairError as hexgeom.edge_length does,
     for the first offending radius, weight or edge.
     """
-    t = m.tables
     # one reduction per bound on the fast path; NaN fails both comparisons
     if not (r.min() > 0.0 and r.max() <= RADIUS_MAX):
         i = int(np.argmin((r > 0.0) & (r <= RADIUS_MAX)))
@@ -69,15 +80,14 @@ def _edge_cosh(m: IdealTriangulation, r: np.ndarray) -> np.ndarray:
     return x
 
 
-def _hexagons(m: IdealTriangulation, s: ConformalState, jacobian: bool):
-    """The face kernel: arcs theta (F, 3), and with `jacobian` also the
-    corner Jacobians d theta_a / d u_b (F, 3, 3), symmetrized.
+def _hexagons(t: FaceTables, r: np.ndarray, jacobian: bool):
+    """The face kernel over the tables t at the radii r: arcs theta (F, 3),
+    and with `jacobian` also the corner Jacobians d theta_a / d u_b
+    (F, 3, 3), symmetrized.
 
     theta[f, k] is the arc at corner k of face f, opposite side k.
     """
-    r = s.r
-    t = m.tables
-    x = _edge_cosh(m, r)
+    x = _edge_cosh(t, r)
     # products of cosh l and cosh r overflow once the radii of a face reach
     # about 120, far past the radius (about 40) where the arcs underflow;
     # the check below turns the resulting inf and NaN into a DomainError
@@ -113,26 +123,28 @@ def _hexagons(m: IdealTriangulation, s: ConformalState, jacobian: bool):
 
 def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Length of every edge at the state s, in m.edges order."""
-    x = _edge_cosh(m, s.r)
+    x = _edge_cosh(m.tables, s.r)
     return np.log(x + _sinh_acosh(x))
 
 
 def curvature(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Generalized curvature K (boundary lengths), one entry per component."""
-    theta = _hexagons(m, s, jacobian=False)
+    theta = _hexagons(m.tables, s.r, jacobian=False)
     return np.bincount(m.tables.vertex.ravel(), weights=theta.ravel(),
                        minlength=m.n_boundary)
 
 
 def _laplacian_data(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Stored entries of Delta in the CSC order of m.laplacian_pattern."""
-    _theta, jac = _hexagons(m, s, jacobian=True)
+    _theta, jac = _hexagons(m.tables, s.r, jacobian=True)
     p = m.laplacian_pattern
     return np.bincount(p.slot, weights=jac.ravel(), minlength=p.indices.size)
 
 
 def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
     """Delta = dK/du as a scipy CSC array; same entries as `laplacian`."""
+    from scipy.sparse import csc_array  # scipy loads on first use only
+
     p = m.laplacian_pattern
     n = m.n_boundary
     return csc_array((_laplacian_data(m, s), p.indices, p.indptr), shape=(n, n))
@@ -157,22 +169,61 @@ def calabi_energy(k, kbar) -> float:
     return 0.5 * float(d @ d)
 
 
+def _curvatures(m: IdealTriangulation, u: np.ndarray) -> np.ndarray:
+    """K at every row of u, shape (S, N), by one kernel call.
+
+    Row k is bitwise equal to curvature(m, validate_state(m, u[k])), and the
+    same StateError, DomainError and InadmissiblePairError checks apply to
+    every row.
+    """
+    check_admissible(m, u.T)
+    t = m.tiled_tables(len(u))
+    theta = _hexagons(t, radii(u).ravel(), jacobian=False)
+    return np.bincount(t.vertex.ravel(), weights=theta.ravel(),
+                       minlength=u.size).reshape(u.shape)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 16 nodes of GL16 then the 32 of GL32 on [0, 1], and the weights
+    of each rule (Golub & Welsch, Math. Comp. 23, 1969)."""
+    from numpy.polynomial.legendre import leggauss
+
+    x16, w16 = leggauss(16)
+    x32, w32 = leggauss(32)
+    return 0.5 * (np.concatenate([x16, x32]) + 1.0), 0.5 * w16, 0.5 * w32
+
+
 def ricci_potential(m: IdealTriangulation, s: ConformalState, s0: ConformalState,
                     kbar) -> float:
     """Line integral -int (K - kbar) . du from s0.u to s.u.
 
     Path-independent because the Laplacian is symmetric; evaluated along the
-    straight segment, which stays inside the convex admissible space.
+    straight segment, which stays inside the convex admissible space.  Each
+    piece of the segment is integrated by GL16 and GL32 at once, with K at
+    all 48 nodes from one batched kernel call; a piece where the two rules
+    differ by more than _GL_TOL per unit length (times the integrand's size
+    where that exceeds 1) is bisected, and the GL32 values of the accepted
+    pieces are summed.  The result is within POTENTIAL_ABS_TOL of the exact
+    integral.
     """
     kbar = np.asarray(kbar, dtype=float)
     d = s.u - s0.u
     if not d.any():
         return 0.0
-
-    def integrand(t: float) -> float:
-        st = validate_state(m, s0.u + t * d)
-        return -float((curvature(m, st) - kbar) @ d)
-
-    val, _err = quad(integrand, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                     limit=200)
-    return val
+    nodes, w16, w32 = _gauss_legendre()
+    total = 0.0
+    pieces = [(0.0, 1.0)]
+    while pieces:
+        a, b = pieces.pop()
+        resid = _curvatures(m, s0.u + (a + (b - a) * nodes)[:, None] * d) - kbar
+        g = resid @ d
+        i16 = -(b - a) * float(w16 @ g[:16])
+        i32 = -(b - a) * float(w32 @ g[16:])
+        size = max(1.0, float((np.abs(resid) @ np.abs(d)).max()))
+        if abs(i16 - i32) > _GL_TOL * size * (b - a):
+            mid = 0.5 * (a + b)
+            pieces += [(mid, b), (a, mid)]
+        else:  # also when NaN, so that a NaN kbar gives NaN, not endless bisection
+            total += i32
+    return total

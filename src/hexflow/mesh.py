@@ -158,6 +158,27 @@ class IdealTriangulation:
             ends=np.array([e.ends for e in self.edges], dtype=np.intp),
             phi=phi, cosh_phi=np.cosh(phi), phi_max=float(phi.max())))
 
+    def tiled_tables(self, copies: int) -> FaceTables:
+        """`tables` of the disjoint union of `copies` copies of the mesh.
+
+        Copy c holds edge e at c * E + e and component i at c * N + i, so
+        one kernel call over the radii of `copies` states, concatenated,
+        evaluates each of them in the same order as the single-state call.
+        Built once per number of copies and kept with the mesh.
+        """
+        cache = self.__dict__.setdefault("_tiled_tables", {})
+        if copies not in cache:
+            t = self.tables
+            edge_offset = (np.arange(copies) * len(self.edges))[:, None, None]
+            vertex_offset = (np.arange(copies) * self.n_boundary)[:, None, None]
+            cache[copies] = _read_only(FaceTables(
+                sides=(t.sides[:, None] + edge_offset).reshape(3, -1, 3),
+                vertex=(t.vertex + vertex_offset).reshape(-1, 3),
+                ends=(t.ends + vertex_offset).reshape(-1, 2),
+                phi=np.tile(t.phi, copies), cosh_phi=np.tile(t.cosh_phi, copies),
+                phi_max=t.phi_max))
+        return cache[copies]
+
     @cached_property
     def laplacian_pattern(self) -> LaplacianPattern:
         """Built on first use, so that evaluating K alone skips it."""
@@ -191,22 +212,34 @@ class ConformalState:
         return r
 
 
+def check_admissible(m: IdealTriangulation, u: np.ndarray) -> None:
+    """Raise StateError unless u lies in the admissible space of m.
+
+    u is one state of shape (N,) or a batch of shape (N, S), one state per
+    column; indexing the leading axis keeps the single-state path as fast
+    as plain indexing.
+    """
+    # one reduction per bound on the fast path; NaN fails every comparison
+    if not (u.max() < 0 and u.min() > -math.inf):
+        i = int(np.argmin(np.isfinite(u) & (u < 0)))
+        raise StateError(f"u[{np.unravel_index(i, u.shape)[0]}] = "
+                         f"{float(u.flat[i])!r} violates u < 0")
+    t = m.tables
+    slack = (u[t.ends[:, 0]] + u[t.ends[:, 1]]).T + t.phi
+    if not slack.min() > ADMISSIBILITY_MARGIN:
+        k = int(np.argmin(slack > ADMISSIBILITY_MARGIN))
+        e = m.edges[k % len(m.edges)]
+        i, j = e.ends
+        raise StateError(f"edge {e.id} constraint u_{i + 1} + u_{j + 1} > "
+                         f"-phi violated (slack {float(slack.flat[k]):.3e})")
+
+
 def validate_state(m: IdealTriangulation, u) -> ConformalState:
     """Check u against the admissible space of m; raises StateError otherwise."""
     u = np.asarray(u, dtype=float).copy()
     if u.shape != (m.n_boundary,):
         raise StateError(f"state has {u.size} components, mesh has {m.n_boundary}")
-    # one reduction per bound on the fast path; NaN fails every comparison
-    if not (u.max() < 0 and u.min() > -math.inf):
-        i = int(np.argmin(np.isfinite(u) & (u < 0)))
-        raise StateError(f"u[{i}] = {float(u[i])!r} violates u < 0")
-    t = m.tables
-    slack = u[t.ends[:, 0]] + u[t.ends[:, 1]] + t.phi
-    if not slack.min() > ADMISSIBILITY_MARGIN:
-        k = int(np.argmin(slack > ADMISSIBILITY_MARGIN))
-        i, j = m.edges[k].ends
-        raise StateError(f"edge {m.edges[k].id} constraint u_{i + 1} + u_{j + 1} > "
-                         f"-phi violated (slack {slack[k]:.3e})")
+    check_admissible(m, u)
     return ConformalState(u=u)
 
 

@@ -17,14 +17,20 @@ DefinitenessError otherwise.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import DefinitenessError, NoDescentError, StateError
 from .curvature import curvature, sparse_laplacian
 from .mesh import ConformalState, IdealTriangulation, validate_state
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
+
+logger = logging.getLogger(__name__)
 
 MAX_BACKTRACKS = 60
 
@@ -43,6 +49,8 @@ def factor_spd(a) -> SuperLU:
     Raises DefinitenessError when the matrix is singular or not positive
     definite: a zero or negative pivot, or a pivot taken off the diagonal.
     """
+    from scipy.sparse.linalg import splu  # scipy loads on first use only
+
     try:
         lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -95,7 +103,7 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
         # Newton direction: u <- u - Delta^{-1} resid, via LDL^T of -Delta
         d = -factor_spd(-sparse_laplacian(m, state)).solve(resid)
         t = 1.0
-        for _ in range(MAX_BACKTRACKS):
+        for backtracks in range(MAX_BACKTRACKS):
             try:
                 trial = validate_state(m, state.u - t * d)
             except StateError:
@@ -105,6 +113,8 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
             trial_inf = float(np.max(np.abs(trial_resid)))
             if trial_inf <= (1.0 - t / 4.0) * resid_inf:
                 state, resid, resid_inf = trial, trial_resid, trial_inf
+                logger.debug("newton iteration %d: residual_inf=%.3e t=%g "
+                             "backtracks=%d", it + 1, resid_inf, t, backtracks)
                 break
             t *= 0.5
         else:

@@ -75,6 +75,13 @@ class TestCurvature:
         state = write_json(tmp_path, "huge_r.json", {"u": [-1e-300, -0.5, -0.5]})
         assert main(["curvature", pants_file, "--state", state]) == 3
 
+    def test_inadmissible_pair_exit_3(self, pants_file, r1_state_file,
+                                      monkeypatch):
+        def raise_pair(m, s):
+            raise hf.InadmissiblePairError(1.0, 1.0, 1.0, 2.0)
+        monkeypatch.setattr(sys.modules["hexflow.cli"], "curvature", raise_pair)
+        assert main(["curvature", pants_file, "--state", r1_state_file]) == 3
+
     def test_missing_state_key_exit_2(self, pants_file, tmp_path):
         state = write_json(tmp_path, "no_key.json", {"radii": [1, 1, 1]})
         assert main(["curvature", pants_file, "--state", state]) == 2

@@ -1,11 +1,15 @@
 import json
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 import hexflow as hf
-from conftest import (K_PANTS_R1, PANTS_DOC, disjoint_union,
-                      fd_curvature_jacobian, sample_valid_states)
+from hexflow.curvature import _GL_TOL, _curvatures, _gauss_legendre
+from conftest import (K_PANTS_R1, PANTS_DOC, admissible_state, disjoint_union,
+                      fd_curvature_jacobian, sample_valid_states,
+                      torus_grid_doc)
 
 
 @pytest.fixture
@@ -144,3 +148,85 @@ class TestRicciPotential:
             self.KBAR) for t in ts]
         second = np.diff(vals, 2)
         assert np.all(second > 0)
+
+
+def mpmath_potential(m, s, s0, kbar):
+    """The potential by mpmath's tanh-sinh quadrature of the float integrand."""
+    d = s.u - s0.u
+
+    def integrand(t):
+        st = hf.validate_state(m, s0.u + float(t) * d)
+        return -float((hf.curvature(m, st) - kbar) @ d)
+
+    return float(mpmath.quad(integrand, [0, 1]))
+
+
+class TestRicciPotentialAccuracy:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Count the potential's batched kernel calls, failing past 100
+        instead of bisecting without end."""
+        module = sys.modules["hexflow.curvature"]
+        batched, calls = module._curvatures, []
+
+        def counted(m, u):
+            calls.append(1)
+            assert len(calls) <= 100, "potential keeps bisecting"
+            return batched(m, u)
+
+        monkeypatch.setattr(module, "_curvatures", counted)
+        return calls
+
+    def test_pants_interior_segment(self, pants):
+        kbar = np.full(3, 2.0)
+        s0 = hf.validate_state(pants, [-0.7, -0.7, -0.7])
+        s = hf.validate_state(pants, [-0.3, -0.8, -0.5])
+        assert abs(hf.ricci_potential(pants, s, s0, kbar)
+                   - mpmath_potential(pants, s, s0, kbar)) < 1e-12
+
+    def test_pants_segment_to_u_near_zero_bisects(self, pants):
+        kbar = np.full(3, 2.0)
+        s0 = hf.validate_state(pants, [-1.5, -0.45, -0.45])
+        s = hf.validate_state(pants, [-0.01, -0.01, -0.01])
+        exact = mpmath_potential(pants, s, s0, kbar)
+        # GL16 and GL32 over the whole segment disagree, so it is bisected;
+        # GL16 alone misses the 1e-9 contract here, and GL32 alone 1e-12
+        nodes, w16, w32 = _gauss_legendre()
+        d = s.u - s0.u
+        g = (_curvatures(pants, s0.u + nodes[:, None] * d) - kbar) @ d
+        gl16, gl32 = -(w16 @ g[:16]), -(w32 @ g[16:])
+        assert abs(gl16 - gl32) > _GL_TOL
+        assert abs(gl16 - exact) > 1e-9
+        assert abs(gl32 - exact) > 1e-12
+        assert abs(hf.ricci_potential(pants, s, s0, kbar) - exact) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_torus_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        m = hf.parse_mesh(json.dumps(torus_grid_doc(3, rng.uniform(1.0, 3.0, 27))))
+        kbar = rng.uniform(1.0, 4.0, 9)
+        s0 = hf.validate_state(m, -rng.uniform(0.3, 0.45, 9))
+        u = -rng.uniform(0.3, 0.45, 9)
+        u[seed] = -0.01
+        s = hf.validate_state(m, u)
+        assert abs(hf.ricci_potential(m, s, s0, kbar)
+                   - mpmath_potential(m, s, s0, kbar)) < 1e-12
+
+    def test_large_integrand_terminates(self, kernel_calls):
+        # an integrand of order 1e6: rounding alone makes GL16 and GL32
+        # differ by more than 1e-12, so an absolute acceptance test bisects
+        # without end
+        rng = np.random.default_rng(10)
+        m = hf.parse_mesh(json.dumps(torus_grid_doc(10, rng.uniform(0.5, 3.0, 300))))
+        s0, s = admissible_state(m, rng), admissible_state(m, rng)
+        kbar = rng.uniform(1e5, 2e5, 100)
+        val = hf.ricci_potential(m, s, s0, kbar)
+        exact = mpmath_potential(m, s, s0, kbar)
+        assert abs(val - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("k1,expected", [(np.nan, np.nan), (np.inf, np.inf)])
+    def test_nonfinite_target_propagates(self, pants, kernel_calls, k1, expected):
+        s0 = hf.validate_state(pants, [-0.7, -0.7, -0.7])
+        s = hf.validate_state(pants, [-0.3, -0.8, -0.5])
+        val = hf.ricci_potential(pants, s, s0, [k1, 2.0, 2.0])
+        np.testing.assert_equal(val, expected)

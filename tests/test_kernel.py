@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hexflow as hf
+from hexflow.curvature import _curvatures
 from conftest import (PANTS_DOC, TORUS_DOC, admissible_state, disjoint_union,
                       reference_curvature, reference_laplacian, torus_grid_doc)
 
@@ -142,6 +143,28 @@ def test_kernel_raises_like_scalar(pants, u, error):
         hf.curvature(pants, s)
     with pytest.raises(error):
         hf.laplacian(pants, s)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_batched_curvature_rows_equal_single_state(n):
+    rng = np.random.default_rng(n)
+    m = random_mesh(f"grid{n}", rng)
+    u = np.array([admissible_state(m, rng).u for _ in range(48)])
+    k = _curvatures(m, u)
+    assert k.shape == (48, m.n_boundary)
+    for row, ui in zip(k, u):
+        assert np.array_equal(row, hf.curvature(m, hf.validate_state(m, ui)))
+
+
+@pytest.mark.parametrize("u,error", [
+    ([-1.0, -1.0, -0.5], hf.StateError),      # u_1 + u_2 = -phi, caught in u-space
+    ([-0.5, -0.5, 0.0], hf.StateError),        # u_3 = 0
+    ([-0.5, -1e-310, -0.5], hf.DomainError),   # radius past RADIUS_MAX, caught by the kernel
+])
+def test_batched_curvature_checks_every_row(pants, u, error):
+    batch = np.array([[-0.5, -0.5, -0.5], u, [-0.6, -0.4, -0.5]])
+    with pytest.raises(error):
+        _curvatures(pants, batch)
 
 
 def test_face_tables_built_lazily(pants):

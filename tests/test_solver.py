@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import csc_array
@@ -82,6 +85,19 @@ class TestNewtonSolve:
         res = hf.newton_solve(torus, None, kbar, tol=1e-13, max_iter=30)
         assert res.converged
         assert abs(res.u_star.u[0] - target_state.u[0]) < 1e-10
+
+    def test_logs_each_iteration(self, pants, pants_r1, caplog):
+        caplog.set_level(logging.DEBUG, logger="hexflow.solver")
+        start = hf.validate_state(pants, [-0.3, -0.5, -0.7])
+        res = hf.newton_solve(pants, start, hf.curvature(pants, pants_r1),
+                              tol=1e-12, max_iter=20)
+        lines = [r.getMessage() for r in caplog.records if r.name == "hexflow.solver"]
+        assert len(lines) == res.iterations
+        for it, line in enumerate(lines, 1):
+            assert re.fullmatch(rf"newton iteration {it}: residual_inf=\S+ "
+                                rf"t=\S+ backtracks=\d+", line)
+        assert float(lines[-1].split("residual_inf=")[1].split()[0]) == pytest.approx(
+            res.residual_inf, rel=1e-3)
 
     def test_precondition_errors(self, pants, pants_r1):
         with pytest.raises(ValueError):
