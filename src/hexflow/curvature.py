@@ -4,9 +4,10 @@ K_i is the total boundary length at component i: the sum of the hexagon
 arc lengths at every face corner incident to i.  The discrete Laplacian
 Delta[i][j] = dK_i/du_j is symmetric and negative definite on the admissible
 space; `laplacian` returns it as a dense array and `sparse_laplacian` as a
-scipy CSC array with one stored entry per pair of components sharing a face.
+scipy CSC array with one stored entry per pair of components sharing a face,
+and `curvature_laplacian` returns K and the dense Delta from one kernel call.
 
-Both are views of one batched face kernel: it gathers the radii through the
+All are views of one batched face kernel: it gathers the radii through the
 mesh's face tables, computes every edge length, arc and (3, 3) corner
 Jacobian d theta / d u with numpy, and sums them with np.bincount.  The sums
 run in a fixed order (face index ascending, corner slot ascending), so
@@ -127,18 +128,31 @@ def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     return np.log(x + _sinh_acosh(x))
 
 
+def _arc_sums(t: FaceTables, theta: np.ndarray, n: int) -> np.ndarray:
+    """K: the arcs theta of the tables t summed at each of the n components."""
+    return np.bincount(t.vertex.ravel(), weights=theta.ravel(), minlength=n)
+
+
 def curvature(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Generalized curvature K (boundary lengths), one entry per component."""
-    theta = _hexagons(m.tables, s.r, jacobian=False)
-    return np.bincount(m.tables.vertex.ravel(), weights=theta.ravel(),
-                       minlength=m.n_boundary)
+    t = m.tables
+    return _arc_sums(t, _hexagons(t, s.r, jacobian=False), m.n_boundary)
 
 
-def _laplacian_data(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
-    """Stored entries of Delta in the CSC order of m.laplacian_pattern."""
-    _theta, jac = _hexagons(m.tables, s.r, jacobian=True)
+def _laplacian_data(m: IdealTriangulation, jac: np.ndarray) -> np.ndarray:
+    """Stored entries of Delta in the CSC order of m.laplacian_pattern, from
+    the corner Jacobians jac of the face kernel."""
     p = m.laplacian_pattern
     return np.bincount(p.slot, weights=jac.ravel(), minlength=p.indices.size)
+
+
+def _dense_laplacian(m: IdealTriangulation, jac: np.ndarray) -> np.ndarray:
+    """Dense Delta from the corner Jacobians jac of the face kernel."""
+    p = m.laplacian_pattern
+    n = m.n_boundary
+    a = np.zeros((n, n))
+    a[p.indices, p.col] = _laplacian_data(m, jac)
+    return a
 
 
 def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
@@ -147,16 +161,22 @@ def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
 
     p = m.laplacian_pattern
     n = m.n_boundary
-    return csc_array((_laplacian_data(m, s), p.indices, p.indptr), shape=(n, n))
+    _theta, jac = _hexagons(m.tables, s.r, jacobian=True)
+    return csc_array((_laplacian_data(m, jac), p.indices, p.indptr), shape=(n, n))
 
 
 def laplacian(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Dense matrix dK_i/du_j, assembled from the per-face corner Jacobians."""
-    p = m.laplacian_pattern
-    n = m.n_boundary
-    a = np.zeros((n, n))
-    a[p.indices, p.col] = _laplacian_data(m, s)
-    return a
+    _theta, jac = _hexagons(m.tables, s.r, jacobian=True)
+    return _dense_laplacian(m, jac)
+
+
+def curvature_laplacian(m: IdealTriangulation,
+                        s: ConformalState) -> tuple[np.ndarray, np.ndarray]:
+    """K and the dense Delta at s from one kernel call, bitwise equal to
+    curvature(m, s) and laplacian(m, s)."""
+    theta, jac = _hexagons(m.tables, s.r, jacobian=True)
+    return _arc_sums(m.tables, theta, m.n_boundary), _dense_laplacian(m, jac)
 
 
 def calabi_energy(k, kbar) -> float:
@@ -179,8 +199,7 @@ def _curvatures(m: IdealTriangulation, u: np.ndarray) -> np.ndarray:
     check_admissible(m, u.T)
     t = m.tiled_tables(len(u))
     theta = _hexagons(t, radii(u).ravel(), jacobian=False)
-    return np.bincount(t.vertex.ravel(), weights=theta.ravel(),
-                       minlength=u.size).reshape(u.shape)
+    return _arc_sums(t, theta, u.size).reshape(u.shape)
 
 
 @functools.cache

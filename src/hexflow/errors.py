@@ -50,7 +50,7 @@ class DefinitenessError(HexflowError):
 
 class StepCollapseError(HexflowError):
     """The flow integrator could not produce an acceptable step after the
-    maximum number of step-size halvings."""
+    maximum number of consecutive rejections."""
 
 
 class NoDescentError(HexflowError):

@@ -1,4 +1,4 @@
-"""Curvature-flow right-hand sides and adaptive RK4 time integration.
+"""Curvature-flow right-hand sides and adaptive Dormand-Prince time integration.
 
 Three flows on the conformal factors u:
 
@@ -7,19 +7,30 @@ Three flows on the conformal factors u:
     fractional:  du/dt = -Delta^s (K - Kbar),   Delta^s = -(-Delta)^s
 
 s = 0 reduces the fractional flow to the Ricci flow and s = 1 to the Calabi
-flow; both reductions are exact special cases in fractional_power.
+flow; both reductions are exact special cases in fractional_power.  For the
+Calabi and fractional flows K and Delta come from one call of the face
+kernel.
 
-The integrator is classical RK4 with step doubling.  A proposed step is
-rejected (and dt halved) when the doubling error exceeds the per-step
-tolerance, the trial state leaves the admissible space, or the Calabi
+The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
+J. Comput. Appl. Math. 6, 1980), advancing the 5th-order solution.  It is
+FSAL ("first same as last"): the 7th stage is evaluated at the new state,
+where it also gives the K of the energy check, and is the next step's first
+stage, so an attempt costs 6 rhs evaluations.  A step is accepted when
+max|dt sum_j e_j k_j|, the difference of the two solutions, is at most the
+absolute STEP_ERROR_TOL (Hairer, Norsett & Wanner, Solving ODEs I, sections
+II.4-II.5).  A PI controller (Hairer & Wanner, Solving ODEs II, section
+IV.2) sets the next dt from this attempt's error and the last accepted
+one's, capped at 10 dt0.  An attempt is rejected and dt halved when
+a stage or the new state leaves the admissible space, or when the Calabi
 energy increases (Ricci/Calabi kinds); the continuous flows provably stay
-interior and decrease the energy, so persistent rejection signals a bug
-and raises StepCollapseError after 60 halvings.
+interior and decrease the energy, so persistent rejection signals a bug and
+raises StepCollapseError after 60 consecutive rejections.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -27,13 +38,41 @@ import numpy as np
 
 from .errors import (DefinitenessError, DomainError, InadmissiblePairError,
                      StateError, StepCollapseError)
-from .curvature import calabi_energy, curvature, edge_lengths, laplacian, ricci_potential
-from .mesh import ConformalState, IdealTriangulation, validate_state
+from .curvature import (calabi_energy, curvature, curvature_laplacian, edge_lengths,
+                        ricci_potential)
+from .mesh import ConformalState, IdealTriangulation, check_admissible, validate_state
 
-STEP_ERROR_TOL = 1e-9       # per-component step-doubling tolerance
+logger = logging.getLogger(__name__)
+
+STEP_ERROR_TOL = 1e-9       # per-component absolute tolerance on the error estimate
 ENERGY_SLACK = 1e-12        # allowed Calabi-energy increase on a step
-MAX_HALVINGS = 60
-DT_GROWTH = 1.5
+MAX_HALVINGS = 60           # consecutive rejections before StepCollapseError
+
+# Dormand-Prince 5(4): row i of _A gives stage i + 1 from stages 0..i, and
+# its last row, the 5th-order weights, gives the new state and so the FSAL
+# stage; _E is the 5th- minus the 4th-order weights over all 7 stages
+_A = tuple(np.array(row) for row in (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+))
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40])
+
+# PI step-size controller: dt *= SAFETY * err^-PI_ALPHA * err_prev^PI_BETA
+# with errors in units of STEP_ERROR_TOL, clipped to [FACTOR_MIN,
+# FACTOR_MAX].  As in Hairer's DOPRI5 code, err_prev starts at, and is
+# floored to, ERR_PREV_MIN, and a step accepted after a rejection does not
+# grow dt.
+SAFETY = 0.9
+PI_ALPHA = 0.7 / 5
+PI_BETA = 0.4 / 5
+FACTOR_MIN = 0.2
+FACTOR_MAX = 5.0
+ERR_PREV_MIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -108,7 +147,15 @@ CSV_HEADER = "step,t,dt,residual_inf,calabi_energy,ricci_potential_delta,min_edg
 
 @dataclass
 class FlowTrace:
+    """Sampled rows and the integrator's counters: rhs evaluations, and
+    rejected attempts by cause (error estimate, a stage or the new state
+    inadmissible, Calabi energy increase)."""
+
     rows: list[TraceRow] = field(default_factory=list)
+    rhs_evals: int = 0
+    rejected_error: int = 0
+    rejected_inadmissible: int = 0
+    rejected_energy: int = 0
 
     def write_csv(self, fh) -> None:
         fh.write(CSV_HEADER + "\n")
@@ -135,42 +182,54 @@ def fractional_power(a: np.ndarray, s: float) -> np.ndarray:
     return -(v * w ** s) @ v.T
 
 
-def rhs(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig) -> np.ndarray:
-    """Right-hand side du/dt of the configured flow at the state s."""
-    resid = curvature(m, s) - cfg.kbar
+def _evaluate(m: IdealTriangulation, s: ConformalState,
+              cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
+    """du/dt of the configured flow at the state s, and K at s, from one
+    kernel call."""
     kind = cfg.kind
     if kind.name == "ricci":
-        return resid
-    lap = laplacian(m, s)
+        k = curvature(m, s)
+        return k - cfg.kbar, k
+    k, lap = curvature_laplacian(m, s)
+    resid = k - cfg.kbar
     if kind.name == "calabi":
-        return -lap @ resid
-    return -fractional_power(lap, kind.s) @ resid
+        return -lap @ resid, k
+    return -fractional_power(lap, kind.s) @ resid, k
 
 
-def _rk4_step(m: IdealTriangulation, u: np.ndarray, dt: float,
-              cfg: FlowConfig) -> np.ndarray:
-    def f(x: np.ndarray) -> np.ndarray:
-        return rhs(m, validate_state(m, x), cfg)
+def rhs(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig) -> np.ndarray:
+    """Right-hand side du/dt of the configured flow at the state s."""
+    return _evaluate(m, s, cfg)[0]
 
-    k1 = f(u)
-    k2 = f(u + 0.5 * dt * k1)
-    k3 = f(u + 0.5 * dt * k2)
-    k4 = f(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+def _step_factor(err: float, err_prev: float) -> float:
+    """PI factor for dt from the error estimate of this attempt and the
+    last accepted one, both in units of STEP_ERROR_TOL."""
+    if err == 0.0:
+        return FACTOR_MAX
+    factor = SAFETY * err ** -PI_ALPHA * err_prev ** PI_BETA
+    return min(FACTOR_MAX, max(FACTOR_MIN, factor))
 
 
 def integrate(m: IdealTriangulation, s0: ConformalState,
               cfg: FlowConfig) -> tuple[ConformalState, FlowTrace, Status]:
     """Run the flow from s0 until max|K - Kbar| < cfg.tol or the step budget
-    is exhausted.  Returns the final state, the sampled trace and the status."""
+    is exhausted.  Returns the final state, the sampled trace and the status.
+
+    Each rejected attempt is logged at DEBUG on the hexflow.flows logger and
+    counted in the trace by cause."""
     monotone = cfg.kind.name in ("ricci", "calabi")
     trace = FlowTrace()
     state = s0
-    k = curvature(m, state)
+    ks = np.empty((len(_E), m.n_boundary))   # the stages of one attempt
+    ks[0], k = _evaluate(m, state, cfg)
+    trace.rhs_evals = 1
     resid_inf = float(np.max(np.abs(k - cfg.kbar)))
     energy = calabi_energy(k, cfg.kbar)
     t = 0.0
     dt = cfg.dt0
+    dt_max = 10.0 * cfg.dt0
+    err_prev = ERR_PREV_MIN
     step = 0
 
     def record(dt_used: float) -> None:
@@ -182,42 +241,63 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
             max_u=float(np.max(state.u)),
         ))
 
+    def reject(cause: str, detail: str, factor: float = 0.5) -> None:
+        nonlocal dt, after_rejection
+        logger.debug("step %d rejected (%s) at t=%r with dt=%r: %s",
+                     step + 1, cause, t, dt, detail)
+        dt *= factor
+        after_rejection = True
+
     record(dt)
     if resid_inf < cfg.tol:
         return state, trace, Status.CONVERGED
 
     while step < cfg.max_steps:
         accepted = None
+        after_rejection = False
         for _ in range(MAX_HALVINGS):
             try:
-                y_full = _rk4_step(m, state.u, dt, cfg)
-                y_half = _rk4_step(m, state.u, 0.5 * dt, cfg)
-                y_half = _rk4_step(m, y_half, 0.5 * dt, cfg)
-                new_state = validate_state(m, y_half)
-            except (StateError, DomainError, InadmissiblePairError):
-                dt *= 0.5
+                for i, a in enumerate(_A[:-1]):
+                    x = state.u + dt * (a @ ks[:i + 1])
+                    check_admissible(m, x)
+                    trace.rhs_evals += 1
+                    ks[i + 1], _ = _evaluate(m, ConformalState(u=x), cfg)
+                new_state = validate_state(m, state.u + dt * (_A[-1] @ ks[:-1]))
+                trace.rhs_evals += 1
+                ks[-1], new_k = _evaluate(m, new_state, cfg)
+            except (StateError, DomainError, InadmissiblePairError) as exc:
+                trace.rejected_inadmissible += 1
+                reject("inadmissible", str(exc))
                 continue
-            if float(np.max(np.abs(y_full - y_half))) > STEP_ERROR_TOL:
-                dt *= 0.5
+            err = dt * float(np.max(np.abs(_E @ ks))) / STEP_ERROR_TOL
+            if err > 1.0:
+                trace.rejected_error += 1
+                reject("error", f"error estimate {err!r} x STEP_ERROR_TOL",
+                       _step_factor(err, err_prev))
                 continue
-            new_k = curvature(m, new_state)
             new_energy = calabi_energy(new_k, cfg.kbar)
             if monotone and new_energy > energy + ENERGY_SLACK:
-                dt *= 0.5
+                trace.rejected_energy += 1
+                reject("energy", f"Calabi energy {energy!r} -> {new_energy!r}")
                 continue
             accepted = (new_state, new_k, new_energy)
             break
         if accepted is None:
             raise StepCollapseError(
-                f"no acceptable step after {MAX_HALVINGS} halvings at t={t!r} "
-                f"(dt collapsed to {dt!r}); the continuous flow stays interior, "
-                f"so this indicates a defect")
+                f"no acceptable step after {MAX_HALVINGS} consecutive rejections "
+                f"at t={t!r} (dt collapsed to {dt!r}); the continuous flow stays "
+                f"interior, so this indicates a defect")
         state, k, energy = accepted
+        ks[0] = ks[-1]
         resid_inf = float(np.max(np.abs(k - cfg.kbar)))
         t += dt
         step += 1
         dt_used = dt
-        dt = min(dt * DT_GROWTH, 10.0 * cfg.dt0)
+        factor = _step_factor(err, err_prev)
+        if after_rejection:
+            factor = min(factor, 1.0)
+        dt = min(dt * factor, dt_max)
+        err_prev = max(err, ERR_PREV_MIN)
         converged = resid_inf < cfg.tol
         if converged or step % cfg.trace_every == 0:
             record(dt_used)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import re
@@ -139,6 +140,15 @@ class TestFlow:
         # partial outputs still written
         assert len(open(trace).read().splitlines()) >= 2
         hf.load_state_vector(out)
+
+    def test_step_collapse_exit_4(self, pants_file, r1_state_file, tmp_path,
+                                  monkeypatch):
+        rising = itertools.count()
+        monkeypatch.setattr(sys.modules["hexflow.flows"], "calabi_energy",
+                            lambda k, kbar: float(next(rising)))
+        args, _, _ = self.flow_args(pants_file, r1_state_file, tmp_path,
+                                    [K_PANTS_R1] * 3)
+        assert main(args) == 4
 
     def test_nonpositive_target_exit_2(self, pants_file, r1_state_file, tmp_path):
         args, _, _ = self.flow_args(pants_file, r1_state_file, tmp_path,

@@ -1,8 +1,13 @@
+import itertools
+import json
+import logging
+
 import numpy as np
 import pytest
 
 import hexflow as hf
-from conftest import sample_valid_states
+import hexflow.flows as flows
+from conftest import admissible_state, sample_valid_states, torus_grid_doc
 
 
 @pytest.fixture
@@ -182,3 +187,50 @@ class TestIntegrate:
         final, _, status = hf.integrate(torus, start, ricci_cfg(kbar, tol=1e-10))
         assert status is hf.Status.CONVERGED
         assert abs(final.u[0] - target_state.u[0]) < 1e-8
+
+    def test_fsal_evaluation_count(self, pants, pants_r1):
+        kbar = hf.curvature(pants, pants_r1)
+        _, trace, status = hf.integrate(pants, self.perturbed(pants, pants_r1),
+                                        ricci_cfg(kbar, tol=1e-10))
+        assert status is hf.Status.CONVERGED
+        assert trace.rejected_inadmissible == 0
+        steps = trace.rows[-1].step
+        # one evaluation at the start, then 6 per attempt: stage 7 of an
+        # accepted step is the first stage of the next
+        assert trace.rhs_evals == 1 + 6 * (steps + trace.rejected_error
+                                           + trace.rejected_energy)
+
+    def test_large_dt0_rejects_inadmissible_stages(self, pants, pants_r1, caplog):
+        kbar = hf.curvature(pants, pants_r1)
+        with caplog.at_level(logging.DEBUG, logger="hexflow.flows"):
+            final, trace, status = hf.integrate(pants, self.perturbed(pants, pants_r1),
+                                                ricci_cfg(kbar, tol=1e-10, dt0=50.0))
+        assert status is hf.Status.CONVERGED
+        assert np.max(np.abs(final.u - pants_r1.u)) < 1e-8
+        assert trace.rejected_inadmissible >= 1
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "hexflow.flows" and "rejected" in r.getMessage()]
+        assert len(logged) == (trace.rejected_error + trace.rejected_inadmissible
+                               + trace.rejected_energy)
+        assert sum("(inadmissible)" in msg for msg in logged) == trace.rejected_inadmissible
+
+    def test_step_collapse(self, pants, pants_r1, monkeypatch):
+        kbar = hf.curvature(pants, pants_r1)
+        rising = itertools.count()
+        monkeypatch.setattr(flows, "calabi_energy", lambda k, kbar: float(next(rising)))
+        with pytest.raises(hf.StepCollapseError,
+                           match=f"{flows.MAX_HALVINGS} consecutive rejections"):
+            hf.integrate(pants, self.perturbed(pants, pants_r1), ricci_cfg(kbar))
+
+
+@pytest.mark.parametrize("kind", [hf.FlowKind.ricci(), hf.FlowKind.calabi(),
+                                  hf.FlowKind.fractional(0.5)], ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [3, 4])
+def test_grid_flows_converge_from_default_start(n, kind):
+    rng = np.random.default_rng(100 + n)
+    m = hf.parse_mesh(json.dumps(torus_grid_doc(n, rng.uniform(0.5, 3.0, 3 * n * n))))
+    target = admissible_state(m, rng, 0.3, 0.9)
+    cfg = hf.FlowConfig(kind=kind, kbar=hf.curvature(m, target), tol=1e-8)
+    final, _, status = hf.integrate(m, hf.default_start(m), cfg)
+    assert status is hf.Status.CONVERGED
+    assert np.max(np.abs(final.u - target.u)) < 1e-8

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hexflow as hf
-from hexflow.curvature import _curvatures
+from hexflow.curvature import _curvatures, curvature_laplacian
 from conftest import (PANTS_DOC, TORUS_DOC, admissible_state, disjoint_union,
                       reference_curvature, reference_laplacian, torus_grid_doc)
 
@@ -96,6 +96,21 @@ def test_kernel_matches_scalar_reference(name, seed):
     again = hf.validate_state(m, s.u.copy())
     assert np.array_equal(hf.curvature(m, again), k)
     assert np.array_equal(hf.laplacian(m, again), a)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_fused_call_bitwise_equal_to_separate_calls(n):
+    rng = np.random.default_rng(n)
+    m = random_mesh(f"grid{n}", rng)
+    kbar = rng.uniform(0.5, 2.0, m.n_boundary)
+    cfg = hf.FlowConfig(kind=hf.FlowKind.calabi(), kbar=kbar)
+    for _ in range(4):
+        s = admissible_state(m, rng)
+        k, a = curvature_laplacian(m, s)
+        assert np.array_equal(k, hf.curvature(m, s))
+        assert np.array_equal(a, hf.laplacian(m, s))
+        assert np.array_equal(hf.rhs(m, s, cfg),
+                              -hf.laplacian(m, s) @ (hf.curvature(m, s) - kbar))
 
 
 def test_grid_laplacian_negative_definite():
