@@ -1,8 +1,7 @@
 """Generalized circle-packing metrics and combinatorial curvature flows on
 ideally triangulated surfaces with boundary."""
 
-from .errors import (DefinitenessError, DomainError, FormatError, HexflowError,
-                     InadmissibleFaceError, InadmissiblePairError,
+from .errors import (DefinitenessError, FormatError, HexflowError,
                      NoDescentError, StateError, StepCollapseError)
 from .hexgeom import (ADMISSIBILITY_MARGIN, HexagonGeometry, arc_length,
                       corner_jacobian, d_length_d_radius, edge_length,
@@ -20,10 +19,9 @@ from .solver import SolveResult, default_start, newton_solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADMISSIBILITY_MARGIN", "ConformalState", "DefinitenessError",
-    "DomainError", "Edge", "Face", "FlowConfig", "FlowKind", "FlowTrace",
-    "FormatError", "HexagonGeometry", "HexflowError", "IdealTriangulation",
-    "InadmissibleFaceError", "InadmissiblePairError", "NoDescentError",
+    "ADMISSIBILITY_MARGIN", "ConformalState", "DefinitenessError", "Edge",
+    "Face", "FlowConfig", "FlowKind", "FlowTrace", "FormatError",
+    "HexagonGeometry", "HexflowError", "IdealTriangulation", "NoDescentError",
     "SolveResult", "StateError", "Status", "StepCollapseError", "TraceRow",
     "arc_length", "calabi_energy", "corner_jacobian", "curvature",
     "d_length_d_radius", "default_start", "edge_length", "edge_lengths",

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success, 2 invalid input, 3 inadmissible
-state, 4 non-convergence.  Verbosity comes from the environment variable
-HEXFLOW_LOG: any standard level name (DEBUG, INFO, WARNING, ERROR, CRITICAL)
-in any case; unset or unknown means INFO.
+state (StateError), 4 non-convergence or an indefinite Jacobian.  Verbosity
+comes from the environment variable HEXFLOW_LOG: any standard level name
+(DEBUG, INFO, WARNING, ERROR, CRITICAL) in any case; unset or unknown means
+INFO.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import (DomainError, FormatError, HexflowError,
-                     InadmissiblePairError, NoDescentError, StateError,
+from .errors import (FormatError, HexflowError, NoDescentError, StateError,
                      StepCollapseError)
 from .curvature import curvature
 from .flows import FlowConfig, FlowKind, Status, integrate
@@ -64,8 +64,8 @@ def _load_target(path) -> np.ndarray:
                     for v in values)):
         raise FormatError(f"target key {keys[0]!r} must be a list of numbers")
     kbar = np.array(values, dtype=float)
-    if not np.all(kbar > 0):
-        raise FormatError("every target entry must be positive")
+    if not np.all((kbar > 0) & np.isfinite(kbar)):
+        raise FormatError("every target entry must be positive and finite")
     return kbar
 
 
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     except (OSError, FormatError) as exc:
         logger.error("%s", exc)
         return EXIT_INVALID_INPUT
-    except (StateError, DomainError, InadmissiblePairError) as exc:
+    except StateError as exc:
         logger.error("inadmissible state: %s", exc)
         return EXIT_INADMISSIBLE_STATE
     except ValueError as exc:

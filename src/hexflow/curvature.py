@@ -15,6 +15,11 @@ identical inputs give bitwise-identical outputs, and Delta is exactly
 symmetric.  The scalar functions in hexgeom are the reference it is tested
 against.
 
+Where it reads its input the kernel runs mesh.check_admissible, the one
+admissibility test, so a state built directly as ConformalState(u=...) is
+checked too.  Its only other guard is that its result is finite, since
+admissible radii can still overflow it.  Both raise StateError.
+
 The Ricci potential is a line integral of K along a segment of states, by
 16-point Gauss-Legendre quadrature checked against 32-point, bisecting the
 segment where the two disagree.  The 48 nodes of a segment are evaluated by
@@ -30,9 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, InadmissiblePairError
-from .hexgeom import (ADMISSIBILITY_MARGIN, RADIUS_MAX, _check_radius,
-                      _check_weight, radii)
+from .errors import StateError
+from .hexgeom import radii
 from .mesh import ConformalState, FaceTables, IdealTriangulation, check_admissible
 
 if TYPE_CHECKING:
@@ -58,41 +62,52 @@ def _sinh_acosh(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
 
 
+def _read_state(m: IdealTriangulation, u: np.ndarray) -> tuple[FaceTables, np.ndarray]:
+    """The face tables and the radii of the kernel's input u: one state of
+    shape (N,) over m.tables, or a batch of shape (S, N), one state per row,
+    over m.tiled_tables(S) with the radii flattened to match.
+
+    Raises StateError unless every state is admissible, before the radii
+    are computed, so radii never sees a u >= 0.
+    """
+    check_admissible(m, u.T)
+    t = m.tables if u.ndim == 1 else m.tiled_tables(len(u))
+    return t, radii(u).ravel()
+
+
 def _edge_cosh(t: FaceTables, r: np.ndarray) -> np.ndarray:
     """cosh of every edge length of the tables t at the radii r, in edge order.
 
-    Raises DomainError and InadmissiblePairError as hexgeom.edge_length does,
-    for the first offending radius, weight or edge.
+    Greater than 1 at admissible radii, which _read_state has checked; an
+    overflow gives inf or NaN, so callers run it under np.errstate and test
+    their result with _require_finite.
     """
-    # one reduction per bound on the fast path; NaN fails both comparisons
-    if not (r.min() > 0.0 and r.max() <= RADIUS_MAX):
-        i = int(np.argmin((r > 0.0) & (r <= RADIUS_MAX)))
-        _check_radius(float(r[i]), f"r[{i}]")
-    if t.phi_max > RADIUS_MAX:
-        _check_weight(t.phi_max)
     sh, ch = np.sinh(r), np.cosh(r)
     i, j = t.ends[:, 0], t.ends[:, 1]
     # grouped as in hexgeom.admissibility, so exactly symmetric in (r_i, r_j)
-    x = t.cosh_phi * (sh[i] * sh[j]) - ch[i] * ch[j]
-    if not x.min() > 1.0 + ADMISSIBILITY_MARGIN:
-        k = int(np.argmin(x > 1.0 + ADMISSIBILITY_MARGIN))
-        raise InadmissiblePairError(float(x[k]), float(r[i[k]]), float(r[j[k]]),
-                                    float(t.phi[k]))
-    return x
+    return t.cosh_phi * (sh[i] * sh[j]) - ch[i] * ch[j]
 
 
-def _hexagons(t: FaceTables, r: np.ndarray, jacobian: bool):
-    """The face kernel over the tables t at the radii r: arcs theta (F, 3),
-    and with `jacobian` also the corner Jacobians d theta_a / d u_b
+def _require_finite(total: float, r: np.ndarray) -> None:
+    """The kernel's one numeric guard: total, the sum of its output, is
+    finite unless some radius overflowed the arithmetic."""
+    if not math.isfinite(total):
+        raise StateError(f"radii up to {float(r.max())!r} overflow the face kernel")
+
+
+def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
+    """The face kernel at the state or batch u (see _read_state): arcs theta
+    (F, 3), and with `jacobian` also the corner Jacobians d theta_a / d u_b
     (F, 3, 3), symmetrized.
 
     theta[f, k] is the arc at corner k of face f, opposite side k.
     """
-    x = _edge_cosh(t, r)
+    t, r = _read_state(m, u)
     # products of cosh l and cosh r overflow once the radii of a face reach
     # about 120, far past the radius (about 40) where the arcs underflow;
-    # the check below turns the resulting inf and NaN into a DomainError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # _require_finite turns the resulting inf and NaN into a StateError
+    with np.errstate(all="ignore"):
+        x = _edge_cosh(t, r)
         cl, cl_next, cl_prev = x[t.sides]               # cosh l, each (F, 3)
         sl, sl_next, sl_prev = _sinh_acosh(x)[t.sides]  # sinh l
         # q = sinh l_{k+1} sinh l_{k+2} sinh theta_k is the same at every
@@ -117,15 +132,18 @@ def _hexagons(t: FaceTables, r: np.ndarray, jacobian: bool):
             jac = dtheta_dl @ dl_du
             jac = 0.5 * (jac + jac.transpose(0, 2, 1))
             total += jac.sum()
-    if not math.isfinite(total):
-        raise DomainError(f"radii up to {float(r.max())!r} overflow the face kernel")
+    _require_finite(total, r)
     return (theta, jac) if jacobian else theta
 
 
 def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Length of every edge at the state s, in m.edges order."""
-    x = _edge_cosh(m.tables, s.r)
-    return np.log(x + _sinh_acosh(x))
+    t, r = _read_state(m, s.u)
+    with np.errstate(all="ignore"):
+        x = _edge_cosh(t, r)
+        lengths = np.log(x + _sinh_acosh(x))
+    _require_finite(lengths.sum(), r)
+    return lengths
 
 
 def _arc_sums(t: FaceTables, theta: np.ndarray, n: int) -> np.ndarray:
@@ -135,8 +153,7 @@ def _arc_sums(t: FaceTables, theta: np.ndarray, n: int) -> np.ndarray:
 
 def curvature(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Generalized curvature K (boundary lengths), one entry per component."""
-    t = m.tables
-    return _arc_sums(t, _hexagons(t, s.r, jacobian=False), m.n_boundary)
+    return _arc_sums(m.tables, _hexagons(m, s.u, jacobian=False), m.n_boundary)
 
 
 def _laplacian_data(m: IdealTriangulation, jac: np.ndarray) -> np.ndarray:
@@ -161,13 +178,13 @@ def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
 
     p = m.laplacian_pattern
     n = m.n_boundary
-    _theta, jac = _hexagons(m.tables, s.r, jacobian=True)
+    _theta, jac = _hexagons(m, s.u, jacobian=True)
     return csc_array((_laplacian_data(m, jac), p.indices, p.indptr), shape=(n, n))
 
 
 def laplacian(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Dense matrix dK_i/du_j, assembled from the per-face corner Jacobians."""
-    _theta, jac = _hexagons(m.tables, s.r, jacobian=True)
+    _theta, jac = _hexagons(m, s.u, jacobian=True)
     return _dense_laplacian(m, jac)
 
 
@@ -175,7 +192,7 @@ def curvature_laplacian(m: IdealTriangulation,
                         s: ConformalState) -> tuple[np.ndarray, np.ndarray]:
     """K and the dense Delta at s from one kernel call, bitwise equal to
     curvature(m, s) and laplacian(m, s)."""
-    theta, jac = _hexagons(m.tables, s.r, jacobian=True)
+    theta, jac = _hexagons(m, s.u, jacobian=True)
     return _arc_sums(m.tables, theta, m.n_boundary), _dense_laplacian(m, jac)
 
 
@@ -193,13 +210,10 @@ def _curvatures(m: IdealTriangulation, u: np.ndarray) -> np.ndarray:
     """K at every row of u, shape (S, N), by one kernel call.
 
     Row k is bitwise equal to curvature(m, validate_state(m, u[k])), and the
-    same StateError, DomainError and InadmissiblePairError checks apply to
-    every row.
+    kernel raises StateError unless every row is admissible.
     """
-    check_admissible(m, u.T)
-    t = m.tiled_tables(len(u))
-    theta = _hexagons(t, radii(u).ravel(), jacobian=False)
-    return _arc_sums(t, theta, u.size).reshape(u.shape)
+    theta = _hexagons(m, u, jacobian=False)
+    return _arc_sums(m.tiled_tables(len(u)), theta, u.size).reshape(u.shape)
 
 
 @functools.cache

@@ -21,8 +21,10 @@ absolute STEP_ERROR_TOL (Hairer, Norsett & Wanner, Solving ODEs I, sections
 II.4-II.5).  A PI controller (Hairer & Wanner, Solving ODEs II, section
 IV.2) sets the next dt from this attempt's error and the last accepted
 one's, capped at 10 dt0.  An attempt is rejected and dt halved when
-a stage or the new state leaves the admissible space, or when the Calabi
-energy increases (Ricci/Calabi kinds); the continuous flows provably stay
+the face kernel raises StateError at a stage or at the new state (it left
+the admissible space, or its radii overflow the kernel), or when the Calabi
+energy increases (Ricci/Calabi kinds); the kernel's own check is the only
+admissibility test of a stage.  The continuous flows provably stay
 interior and decrease the energy, so persistent rejection signals a bug and
 raises StepCollapseError after 60 consecutive rejections.
 """
@@ -36,11 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DefinitenessError, DomainError, InadmissiblePairError,
-                     StateError, StepCollapseError)
+from .errors import DefinitenessError, StateError, StepCollapseError
 from .curvature import (calabi_energy, curvature, curvature_laplacian, edge_lengths,
                         ricci_potential)
-from .mesh import ConformalState, IdealTriangulation, check_admissible, validate_state
+from .mesh import ConformalState, IdealTriangulation
 
 logger = logging.getLogger(__name__)
 
@@ -114,8 +115,8 @@ class FlowConfig:
 
     def __post_init__(self):
         self.kbar = np.asarray(self.kbar, dtype=float)
-        if not np.all(self.kbar > 0):
-            raise ValueError("every target curvature entry must be positive")
+        if not np.all((self.kbar > 0) & np.isfinite(self.kbar)):
+            raise ValueError("every target curvature entry must be positive and finite")
         if not self.dt0 > 0:
             raise ValueError("dt0 must be positive")
         if not self.tol > 0:
@@ -258,14 +259,13 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
         for _ in range(MAX_HALVINGS):
             try:
                 for i, a in enumerate(_A[:-1]):
-                    x = state.u + dt * (a @ ks[:i + 1])
-                    check_admissible(m, x)
+                    stage = ConformalState(u=state.u + dt * (a @ ks[:i + 1]))
+                    ks[i + 1], _ = _evaluate(m, stage, cfg)
                     trace.rhs_evals += 1
-                    ks[i + 1], _ = _evaluate(m, ConformalState(u=x), cfg)
-                new_state = validate_state(m, state.u + dt * (_A[-1] @ ks[:-1]))
-                trace.rhs_evals += 1
+                new_state = ConformalState(u=state.u + dt * (_A[-1] @ ks[:-1]))
                 ks[-1], new_k = _evaluate(m, new_state, cfg)
-            except (StateError, DomainError, InadmissiblePairError) as exc:
+                trace.rhs_evals += 1
+            except StateError as exc:
                 trace.rejected_inadmissible += 1
                 reject("inadmissible", str(exc))
                 continue

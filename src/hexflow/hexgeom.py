@@ -15,7 +15,10 @@ are boundary arcs; the arc opposite edge k has length theta_k with
 
 Everything here is a pure function of its float arguments.  These scalar
 functions are the reference for the batched face kernel in curvature, which
-evaluates the same formulas for every face of a mesh at once.
+evaluates the same formulas for every face of a mesh at once.  They take
+radii, not conformal factors, so they test admissibility in r-space, as
+cosh l > 1 + ADMISSIBILITY_MARGIN, and raise StateError for any argument out
+of range; the kernel tests it in u-space (mesh.check_admissible).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InadmissibleFaceError, InadmissiblePairError
+from .errors import StateError
 
 # Strict margin on the open admissibility condition, so that downstream
 # divisions by sinh(l) are safe.
@@ -37,16 +40,16 @@ RADIUS_MAX = 700.0
 
 def _check_radius(r: float, name: str = "r") -> None:
     if not math.isfinite(r) or r <= 0.0:
-        raise DomainError(f"{name} must be a finite positive real, got {r!r}")
+        raise StateError(f"{name} must be a finite positive real, got {r!r}")
     if r > RADIUS_MAX:
-        raise DomainError(f"{name}={r!r} exceeds the overflow bound {RADIUS_MAX}")
+        raise StateError(f"{name}={r!r} exceeds the overflow bound {RADIUS_MAX}")
 
 
 def _check_weight(phi: float) -> None:
     if not math.isfinite(phi) or phi <= 0.0:
-        raise DomainError(f"weight must be a finite positive real, got {phi!r}")
+        raise StateError(f"weight must be a finite positive real, got {phi!r}")
     if phi > RADIUS_MAX:
-        raise DomainError(f"weight {phi!r} exceeds the overflow bound {RADIUS_MAX}")
+        raise StateError(f"weight {phi!r} exceeds the overflow bound {RADIUS_MAX}")
 
 
 def _acosh(x: float) -> float:
@@ -77,10 +80,10 @@ def radii(u):
 def from_conformal(u: float) -> float:
     """Radius r = 2 artanh(exp(u)) of a conformal factor u < 0.
 
-    Raises DomainError when u or the radius is out of range (see radii).
+    Raises StateError when u or the radius is out of range (see radii).
     """
     if not math.isfinite(u) or u >= 0.0:
-        raise DomainError(f"conformal factor must be a finite negative real, got {u!r}")
+        raise StateError(f"conformal factor must be a finite negative real, got {u!r}")
     r = float(radii(u))
     _check_radius(r, f"radius of u={u!r}")
     return r
@@ -102,12 +105,13 @@ def admissibility(r_i: float, r_j: float, phi: float) -> float:
 def edge_length(r_i: float, r_j: float, phi: float) -> float:
     """Edge length induced by two radii and an edge weight.
 
-    Raises InadmissiblePairError when the admissibility expression is
+    Raises StateError when the admissibility expression is
     <= 1 + ADMISSIBILITY_MARGIN (the length would be zero or undefined).
     """
     x = admissibility(r_i, r_j, phi)
     if x <= 1.0 + ADMISSIBILITY_MARGIN:
-        raise InadmissiblePairError(x, r_i, r_j, phi)
+        raise StateError(f"inadmissible radius pair (r_i={r_i!r}, r_j={r_j!r}, "
+                         f"phi={phi!r}): admissibility expression {x!r} <= 1")
     return _acosh(x)
 
 
@@ -115,7 +119,7 @@ def arc_length(l_opp: float, l_a: float, l_b: float) -> float:
     """Boundary-arc length at the corner opposite l_opp, adjacent to l_a, l_b."""
     for name, v in (("l_opp", l_opp), ("l_a", l_a), ("l_b", l_b)):
         if not math.isfinite(v) or v <= 0.0:
-            raise DomainError(f"{name} must be a finite positive real, got {v!r}")
+            raise StateError(f"{name} must be a finite positive real, got {v!r}")
     q = (math.cosh(l_opp) + math.cosh(l_a) * math.cosh(l_b)) / (
         math.sinh(l_a) * math.sinh(l_b))
     return _acosh(q)
@@ -158,15 +162,16 @@ def corner_jacobian(r: tuple[float, float, float],
     r[k] is the radius at corner k and phi[k] the weight of the edge opposite
     corner k (joining the other two corners).  Assembled by the chain rule
     d theta/d l * d l/d r * d r/d u with d r_k/d u_k = sinh(r_k).  The result
-    is symmetric and negative definite.
+    is symmetric and negative definite.  An inadmissible pair raises
+    StateError naming the edge slot k, the edge opposite corner k.
     """
     lengths = [0.0, 0.0, 0.0]
     for k in range(3):
         a, b = (k + 1) % 3, (k + 2) % 3
         try:
             lengths[k] = edge_length(r[a], r[b], phi[k])
-        except InadmissiblePairError as exc:
-            raise InadmissibleFaceError(k, exc) from exc
+        except StateError as exc:
+            raise StateError(f"inadmissible face: edge slot {k}: {exc}") from exc
     hexa = hexagon_geometry(tuple(lengths))
     l, theta, q = hexa.l, hexa.theta, hexa.q
 

@@ -3,14 +3,15 @@
 The mesh file format is UTF-8 JSON with 1-based boundary indices:
 
     { "n_boundary": int,
-      "edges": [ {"id": int, "ends": [int, int], "phi": float > 0}, ... ],
+      "edges": [ {"id": int, "ends": [int, int], "phi": 0 < float <= 700}, ... ],
       "faces": [ {"edges": [int, int, int],
                   "opposite_vertices": [int, int, int]}, ... ] }
 
 opposite_vertices[k] is the boundary component at the corner opposite
-edges[k].  Self-loop edges and repeated vertices per face are allowed
-(the one-holed torus needs both), so corners are stored explicitly rather
-than inferred from edge endpoints.  Internally indices are 0-based.
+edges[k].  The bound phi <= 700 (hexgeom.RADIUS_MAX) keeps cosh(phi)
+finite.  Self-loop edges and repeated vertices per face are allowed (the
+one-holed torus needs both), so corners are stored explicitly rather than
+inferred from edge endpoints.  Internally indices are 0-based.
 
 A state file is { "u": [float, ...] } or { "r": [float, ...] } with exactly
 one of the two keys present; radii are converted on load.
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormatError, StateError
-from .hexgeom import ADMISSIBILITY_MARGIN, radii, to_conformal
+from .hexgeom import ADMISSIBILITY_MARGIN, RADIUS_MAX, radii, to_conformal
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class FaceTables:
     ends: np.ndarray      # (E, 2) endpoints of each edge
     phi: np.ndarray       # (E,) edge weights
     cosh_phi: np.ndarray  # (E,)
-    phi_max: float
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,9 @@ class IdealTriangulation:
             for v in e.ends:
                 if not 0 <= v < n:
                     raise FormatError(f"edge {e.id} endpoint {v + 1} out of range 1..{n}")
-            if not (math.isfinite(e.phi) and e.phi > 0):
-                raise FormatError(f"edge {e.id} weight must be positive, got {e.phi!r}")
+            if not 0.0 < e.phi <= RADIUS_MAX:  # also false for NaN
+                raise FormatError(f"edge {e.id} weight must be positive and at most "
+                                  f"{RADIUS_MAX:g}, got {e.phi!r}")
         by_id = {e.id: e for e in self.edges}
 
         side_count: dict[int, int] = {e.id: 0 for e in self.edges}
@@ -156,7 +157,7 @@ class IdealTriangulation:
             sides=np.array([edge, edge[:, [1, 2, 0]], edge[:, [2, 0, 1]]]),
             vertex=np.array([f.opposite for f in self.faces], dtype=np.intp),
             ends=np.array([e.ends for e in self.edges], dtype=np.intp),
-            phi=phi, cosh_phi=np.cosh(phi), phi_max=float(phi.max())))
+            phi=phi, cosh_phi=np.cosh(phi)))
 
     def tiled_tables(self, copies: int) -> FaceTables:
         """`tables` of the disjoint union of `copies` copies of the mesh.
@@ -175,8 +176,7 @@ class IdealTriangulation:
                 sides=(t.sides[:, None] + edge_offset).reshape(3, -1, 3),
                 vertex=(t.vertex + vertex_offset).reshape(-1, 3),
                 ends=(t.ends + vertex_offset).reshape(-1, 2),
-                phi=np.tile(t.phi, copies), cosh_phi=np.tile(t.cosh_phi, copies),
-                phi_max=t.phi_max))
+                phi=np.tile(t.phi, copies), cosh_phi=np.tile(t.cosh_phi, copies)))
         return cache[copies]
 
     @cached_property
@@ -198,7 +198,8 @@ class IdealTriangulation:
 class ConformalState:
     """A point of the admissible space Omega(Phi): u_i < 0 for every boundary
     component and u_i + u_j > -phi_ij for every edge.  Construct through
-    validate_state."""
+    validate_state; the evaluators in curvature check a state built directly
+    as well, and raise StateError if it is not admissible."""
 
     u: np.ndarray
 
@@ -215,9 +216,11 @@ class ConformalState:
 def check_admissible(m: IdealTriangulation, u: np.ndarray) -> None:
     """Raise StateError unless u lies in the admissible space of m.
 
-    u is one state of shape (N,) or a batch of shape (N, S), one state per
-    column; indexing the leading axis keeps the single-state path as fast
-    as plain indexing.
+    This is the one admissibility test: validate_state and the face kernel
+    in curvature both run it.  It is exact, as u_i + u_j > -phi_ij holds
+    exactly when cosh l_ij > 1.  u is one state of shape (N,) or a batch of
+    shape (N, S), one state per column; indexing the leading axis keeps the
+    single-state path as fast as plain indexing.
     """
     # one reduction per bound on the fast path; NaN fails every comparison
     if not (u.max() < 0 and u.min() > -math.inf):

@@ -87,8 +87,8 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
     kbar = np.asarray(kbar, dtype=float)
     if kbar.shape != (m.n_boundary,):
         raise ValueError(f"target has {kbar.size} entries, mesh has {m.n_boundary}")
-    if not np.all(kbar > 0):
-        raise ValueError("every target entry must be positive")
+    if not np.all((kbar > 0) & np.isfinite(kbar)):
+        raise ValueError("every target entry must be positive and finite")
     if not tol > 0:
         raise ValueError("tol must be positive")
 

@@ -60,6 +60,13 @@ class TestCheck:
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
+    def test_weight_past_overflow_bound_exit_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PANTS_DOC))
+        doc["edges"][1]["phi"] = 705.0
+        path = write_json(tmp_path, "heavy.json", doc)
+        assert main(["check", path]) == 2
+        assert "edge 2 weight" in capsys.readouterr().err
+
 
 class TestCurvature:
     def test_pants_r1(self, pants_file, r1_state_file, capsys):
@@ -79,7 +86,7 @@ class TestCurvature:
     def test_inadmissible_pair_exit_3(self, pants_file, r1_state_file,
                                       monkeypatch):
         def raise_pair(m, s):
-            raise hf.InadmissiblePairError(1.0, 1.0, 1.0, 2.0)
+            raise hf.StateError("inadmissible radius pair")
         monkeypatch.setattr(sys.modules["hexflow.cli"], "curvature", raise_pair)
         assert main(["curvature", pants_file, "--state", r1_state_file]) == 3
 
@@ -155,6 +162,13 @@ class TestFlow:
                                     [0.0, 1.0, 1.0])
         assert main(args) == 2
 
+    def test_infinite_target_exit_2(self, pants_file, r1_state_file, tmp_path, caplog):
+        # json writes and reads the float inf as the bare token Infinity
+        args, _, _ = self.flow_args(pants_file, r1_state_file, tmp_path,
+                                    [float("inf"), 1.0, 1.0])
+        assert main(args) == 2
+        assert "positive and finite" in caplog.text
+
 
 class TestSolve:
     def test_arbitrary_target(self, pants_file, tmp_path):
@@ -182,6 +196,12 @@ class TestSolve:
     def test_zero_target_exit_2(self, pants_file, tmp_path):
         target = write_json(tmp_path, "target.json", {"kbar": [0.0, 1.0, 1.0]})
         assert main(["solve", pants_file, "--target", target]) == 2
+
+    def test_infinite_target_exit_2(self, pants_file, tmp_path, caplog):
+        target = tmp_path / "target.json"
+        target.write_text('{"kbar": [Infinity, 1.0, 1.0]}')
+        assert main(["solve", pants_file, "--target", str(target)]) == 2
+        assert "positive and finite" in caplog.text
 
     def test_torus_default_start(self, torus_file, tmp_path):
         target = write_json(tmp_path, "target.json", {"kbar": [2.0]})

@@ -42,6 +42,9 @@ class TestFlowKind:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="positive"):
             ricci_cfg(np.array([1.0, -1.0, 1.0]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ricci_cfg(np.array([bad, 1.0, 1.0]))
         with pytest.raises(ValueError, match="dt0"):
             ricci_cfg(np.array([1.0]), dt0=0.0)
         with pytest.raises(ValueError, match="max_steps"):

@@ -138,26 +138,66 @@ def test_sparse_pattern_is_face_adjacency():
 
 
 def test_edge_lengths_match_scalar(pants):
-    s = hf.validate_state(pants, [-0.3, -0.5, -0.7])
-    r = s.r
-    expected = [hf.edge_length(r[e.ends[0]], r[e.ends[1]], e.phi) for e in pants.edges]
-    assert np.allclose(hf.edge_lengths(pants, s), expected, rtol=1e-14)
+    # at u_1 = -1e-300, r_1 = 691: the lengths stay finite, though the
+    # kernel's products of cosh l overflow (BAD_STATES["radius_691"])
+    for u in ([-0.3, -0.5, -0.7], [-1e-300, -0.5, -0.5]):
+        s = hf.validate_state(pants, u)
+        r = s.r
+        expected = [hf.edge_length(r[e.ends[0]], r[e.ends[1]], e.phi) for e in pants.edges]
+        assert np.allclose(hf.edge_lengths(pants, s), expected, rtol=1e-14)
 
 
-@pytest.mark.parametrize("u,error", [
-    ([-1.0, -1.0, -0.5], hf.InadmissiblePairError),  # u_1 + u_2 = -phi
-    ([-0.5, -800.0, -0.5], hf.DomainError),           # radius underflows to 0
-    ([-0.5, -1e-310, -0.5], hf.DomainError),          # radius past RADIUS_MAX
+@pytest.mark.parametrize("u", [
+    [-1.0, -1.0, -0.5],     # u_1 + u_2 = -phi
+    [-0.5, -800.0, -0.5],   # radius underflows to 0
+    [-0.5, -1e-310, -0.5],  # radius past RADIUS_MAX
 ])
-def test_kernel_raises_like_scalar(pants, u, error):
-    # states that bypass validate_state reach the kernel's own checks
+def test_kernel_raises_like_scalar(pants, u):
+    # the scalar reference checks the radii, the kernel the state u
     s = hf.ConformalState(u=np.array(u))
-    with pytest.raises(error):
+    with pytest.raises(hf.StateError):
         hf.edge_length(s.r[0], s.r[1], 2.0)
-    with pytest.raises(error):
+    with pytest.raises(hf.StateError):
         hf.curvature(pants, s)
-    with pytest.raises(error):
+    with pytest.raises(hf.StateError):
         hf.laplacian(pants, s)
+
+
+# States built directly as ConformalState(u=...), bypassing validate_state,
+# with the message each must raise StateError with.  They are checked where
+# the face kernel reads its input, by the one admissibility test, or fail
+# its finiteness guard.
+BAD_STATES = {
+    "pair_on_boundary": ([-1.0, -1.0, -0.5], r"edge 1 constraint u_1 \+ u_2 > -phi violated"),
+    "u3_zero": ([-0.5, -0.5, 0.0], r"u\[2\] = 0\.0 violates u < 0"),
+    "nan": ([-0.5, np.nan, -0.5], r"u\[1\] = nan violates u < 0"),
+    # the radius would underflow to 0, but u_1 + u_2 > -phi fails first
+    "radius_underflow": ([-0.5, -800.0, -0.5], r"edge 1 constraint u_1 \+ u_2 > -phi violated"),
+    "radius_inf": ([-0.5, -1e-310, -0.5], "radii up to inf overflow the face kernel"),
+    # r = 691 is finite, but the kernel's products of cosh l overflow
+    "radius_691": ([-1e-300, -0.5, -0.5], "radii up to 691.* overflow the face kernel"),
+}
+
+EVALUATORS = {
+    "curvature": hf.curvature,
+    "laplacian": hf.laplacian,
+    "sparse_laplacian": hf.sparse_laplacian,
+    "curvature_laplacian": curvature_laplacian,
+    "edge_lengths": hf.edge_lengths,
+    # the bad state as the middle row of a batch
+    "batched": lambda m, s: _curvatures(
+        m, np.array([[-0.5, -0.5, -0.5], s.u, [-0.6, -0.4, -0.5]])),
+}
+
+
+@pytest.mark.parametrize("state,evaluator", [
+    (state, evaluator) for state in BAD_STATES for evaluator in EVALUATORS
+    # edge lengths alone stay finite at r = 691 (test_edge_lengths_match_scalar)
+    if (state, evaluator) != ("radius_691", "edge_lengths")])
+def test_every_evaluator_rejects_bad_state(pants, state, evaluator):
+    u, message = BAD_STATES[state]
+    with pytest.raises(hf.StateError, match=message):
+        EVALUATORS[evaluator](pants, hf.ConformalState(u=np.array(u)))
 
 
 @pytest.mark.parametrize("n", [3, 7])
@@ -172,9 +212,9 @@ def test_batched_curvature_rows_equal_single_state(n):
 
 
 @pytest.mark.parametrize("u,error", [
-    ([-1.0, -1.0, -0.5], hf.StateError),      # u_1 + u_2 = -phi, caught in u-space
+    ([-1.0, -1.0, -0.5], hf.StateError),      # u_1 + u_2 = -phi
     ([-0.5, -0.5, 0.0], hf.StateError),        # u_3 = 0
-    ([-0.5, -1e-310, -0.5], hf.DomainError),   # radius past RADIUS_MAX, caught by the kernel
+    ([-0.5, -1e-310, -0.5], hf.StateError),    # r_2 = inf overflows the kernel
 ])
 def test_batched_curvature_checks_every_row(pants, u, error):
     batch = np.array([[-0.5, -0.5, -0.5], u, [-0.6, -0.4, -0.5]])

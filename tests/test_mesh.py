@@ -64,6 +64,17 @@ class TestParse:
         with pytest.raises(hf.FormatError, match="weight"):
             hf.parse_mesh(json.dumps(doc))
 
+    def test_weight_overflow_bound(self):
+        # the bound is RADIUS_MAX = 700; cosh(phi) overflows past about 710
+        doc = json.loads(json.dumps(PANTS_DOC))
+        doc["edges"][0]["phi"] = 700.0
+        hf.parse_mesh(json.dumps(doc))
+        for phi in (705.0, float("inf"), float("nan")):
+            doc["edges"][0]["phi"] = phi
+            with pytest.raises(hf.FormatError,
+                               match="edge 1 weight must be positive and at most 700"):
+                hf.parse_mesh(json.dumps(doc))
+
     def test_edge_side_count(self):
         # three faces on the same edges: each edge in 3 corner slots
         doc = json.loads(json.dumps(PANTS_DOC))

@@ -104,6 +104,9 @@ class TestNewtonSolve:
             hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             hf.newton_solve(pants, pants_r1, np.array([1.0, 0.0, 1.0]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                hf.newton_solve(pants, pants_r1, np.array([bad, 1.0, 1.0]))
         with pytest.raises(ValueError):
             hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]), tol=0.0)
 
