@@ -22,7 +22,7 @@ from .errors import (FormatError, HexflowError, NoDescentError, StateError,
 from .curvature import curvature
 from .flows import FlowConfig, FlowKind, Status, integrate
 from .mesh import (euler_characteristic, load_mesh, load_state_vector,
-                   validate_state)
+                   parse_keyed_vector, validate_state)
 from .solver import newton_solve
 
 logger = logging.getLogger("hexflow")
@@ -48,22 +48,7 @@ def _load_target(path) -> np.ndarray:
     """Target curvature file: {"kbar": [...]} or {"K": [...]} (one of the two),
     so `hexflow curvature` output can be reused directly."""
     with open(path, "rb") as fh:
-        try:
-            doc = json.loads(fh.read().decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"target JSON syntax error at line {exc.lineno} "
-                              f"column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError("target document must be a JSON object")
-    keys = [k for k in ("kbar", "K") if k in doc]
-    if len(keys) != 1:
-        raise FormatError('target document must contain exactly one of "kbar" or "K"')
-    values = doc[keys[0]]
-    if not (isinstance(values, list)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in values)):
-        raise FormatError(f"target key {keys[0]!r} must be a list of numbers")
-    kbar = np.array(values, dtype=float)
+        _key, kbar = parse_keyed_vector(fh.read(), "target", ("kbar", "K"))
     if not np.all((kbar > 0) & np.isfinite(kbar)):
         raise FormatError("every target entry must be positive and finite")
     return kbar

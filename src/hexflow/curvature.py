@@ -22,9 +22,8 @@ admissible radii can still overflow it.  Both raise StateError.
 
 The Ricci potential is a line integral of K along a segment of states, by
 16-point Gauss-Legendre quadrature checked against 32-point, bisecting the
-segment where the two disagree.  The 48 nodes of a segment are evaluated by
-one call of the same kernel over the mesh's tables tiled 48 times, one
-disjoint copy per node state.
+segment where the two disagree; each node is one curvature call.  The flows
+do not call it: they carry the potential along their own stages.
 """
 
 from __future__ import annotations
@@ -62,17 +61,14 @@ def _sinh_acosh(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
 
 
-def _read_state(m: IdealTriangulation, u: np.ndarray) -> tuple[FaceTables, np.ndarray]:
-    """The face tables and the radii of the kernel's input u: one state of
-    shape (N,) over m.tables, or a batch of shape (S, N), one state per row,
-    over m.tiled_tables(S) with the radii flattened to match.
+def _read_state(m: IdealTriangulation, u: np.ndarray) -> np.ndarray:
+    """The radii of the kernel's input u, one state of shape (N,).
 
-    Raises StateError unless every state is admissible, before the radii
-    are computed, so radii never sees a u >= 0.
+    Raises StateError unless u is admissible, before the radii are
+    computed, so radii never sees a u >= 0.
     """
-    check_admissible(m, u.T)
-    t = m.tables if u.ndim == 1 else m.tiled_tables(len(u))
-    return t, radii(u).ravel()
+    check_admissible(m, u)
+    return radii(u)
 
 
 def _edge_cosh(t: FaceTables, r: np.ndarray) -> np.ndarray:
@@ -96,13 +92,13 @@ def _require_finite(total: float, r: np.ndarray) -> None:
 
 
 def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
-    """The face kernel at the state or batch u (see _read_state): arcs theta
-    (F, 3), and with `jacobian` also the corner Jacobians d theta_a / d u_b
-    (F, 3, 3), symmetrized.
+    """The face kernel at the state u: arcs theta (F, 3), and with
+    `jacobian` also the corner Jacobians d theta_a / d u_b (F, 3, 3),
+    symmetrized.
 
     theta[f, k] is the arc at corner k of face f, opposite side k.
     """
-    t, r = _read_state(m, u)
+    t, r = m.tables, _read_state(m, u)
     # products of cosh l and cosh r overflow once the radii of a face reach
     # about 120, far past the radius (about 40) where the arcs underflow;
     # _require_finite turns the resulting inf and NaN into a StateError
@@ -138,22 +134,23 @@ def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
 
 def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Length of every edge at the state s, in m.edges order."""
-    t, r = _read_state(m, s.u)
+    r = _read_state(m, s.u)
     with np.errstate(all="ignore"):
-        x = _edge_cosh(t, r)
+        x = _edge_cosh(m.tables, r)
         lengths = np.log(x + _sinh_acosh(x))
     _require_finite(lengths.sum(), r)
     return lengths
 
 
-def _arc_sums(t: FaceTables, theta: np.ndarray, n: int) -> np.ndarray:
-    """K: the arcs theta of the tables t summed at each of the n components."""
-    return np.bincount(t.vertex.ravel(), weights=theta.ravel(), minlength=n)
+def _arc_sums(m: IdealTriangulation, theta: np.ndarray) -> np.ndarray:
+    """K: the arcs theta of the face kernel summed at each component."""
+    return np.bincount(m.tables.vertex.ravel(), weights=theta.ravel(),
+                       minlength=m.n_boundary)
 
 
 def curvature(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Generalized curvature K (boundary lengths), one entry per component."""
-    return _arc_sums(m.tables, _hexagons(m, s.u, jacobian=False), m.n_boundary)
+    return _arc_sums(m, _hexagons(m, s.u, jacobian=False))
 
 
 def _laplacian_data(m: IdealTriangulation, jac: np.ndarray) -> np.ndarray:
@@ -193,7 +190,7 @@ def curvature_laplacian(m: IdealTriangulation,
     """K and the dense Delta at s from one kernel call, bitwise equal to
     curvature(m, s) and laplacian(m, s)."""
     theta, jac = _hexagons(m, s.u, jacobian=True)
-    return _arc_sums(m.tables, theta, m.n_boundary), _dense_laplacian(m, jac)
+    return _arc_sums(m, theta), _dense_laplacian(m, jac)
 
 
 def calabi_energy(k, kbar) -> float:
@@ -204,16 +201,6 @@ def calabi_energy(k, kbar) -> float:
         raise ValueError(f"length mismatch: {k.shape} vs {kbar.shape}")
     d = k - kbar
     return 0.5 * float(d @ d)
-
-
-def _curvatures(m: IdealTriangulation, u: np.ndarray) -> np.ndarray:
-    """K at every row of u, shape (S, N), by one kernel call.
-
-    Row k is bitwise equal to curvature(m, validate_state(m, u[k])), and the
-    kernel raises StateError unless every row is admissible.
-    """
-    theta = _hexagons(m, u, jacobian=False)
-    return _arc_sums(m.tiled_tables(len(u)), theta, u.size).reshape(u.shape)
 
 
 @functools.cache
@@ -233,8 +220,8 @@ def ricci_potential(m: IdealTriangulation, s: ConformalState, s0: ConformalState
 
     Path-independent because the Laplacian is symmetric; evaluated along the
     straight segment, which stays inside the convex admissible space.  Each
-    piece of the segment is integrated by GL16 and GL32 at once, with K at
-    all 48 nodes from one batched kernel call; a piece where the two rules
+    piece of the segment is integrated by GL16 and GL32 at once, from K at
+    their 48 nodes; a piece where the two rules
     differ by more than _GL_TOL per unit length (times the integrand's size
     where that exceeds 1) is bisected, and the GL32 values of the accepted
     pieces are summed.  The result is within POTENTIAL_ABS_TOL of the exact
@@ -249,7 +236,8 @@ def ricci_potential(m: IdealTriangulation, s: ConformalState, s0: ConformalState
     pieces = [(0.0, 1.0)]
     while pieces:
         a, b = pieces.pop()
-        resid = _curvatures(m, s0.u + (a + (b - a) * nodes)[:, None] * d) - kbar
+        resid = np.array([curvature(m, ConformalState(u=u)) for u in
+                          s0.u + (a + (b - a) * nodes)[:, None] * d]) - kbar
         g = resid @ d
         i16 = -(b - a) * float(w16 @ g[:16])
         i32 = -(b - a) * float(w32 @ g[16:])

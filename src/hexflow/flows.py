@@ -27,6 +27,13 @@ energy increases (Ricci/Calabi kinds); the kernel's own check is the only
 admissibility test of a stage.  The continuous flows provably stay
 interior and decrease the energy, so persistent rejection signals a bug and
 raises StepCollapseError after 60 consecutive rejections.
+
+The Ricci potential Phi, whose gradient is -(K - Kbar), is carried as one
+more component of the ODE: dPhi/dt = -(K - Kbar) . du/dt at every stage,
+from the K that the stage's kernel call already returns, advanced with the
+same weights as u and kept out of the error estimate.  Phi is
+path-independent, so the carried value is Phi(u) - Phi(u0) up to the step
+error.
 """
 
 from __future__ import annotations
@@ -39,8 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DefinitenessError, StateError, StepCollapseError
-from .curvature import (calabi_energy, curvature, curvature_laplacian, edge_lengths,
-                        ricci_potential)
+from .curvature import calabi_energy, curvature, curvature_laplacian, edge_lengths
 from .mesh import ConformalState, IdealTriangulation
 
 logger = logging.getLogger(__name__)
@@ -133,6 +139,10 @@ class Status(enum.Enum):
 
 
 class TraceRow(NamedTuple):
+    """One sampled step.  ricci_potential_delta is Phi(u) - Phi(u0) as the
+    integrator carries it along the flow, accurate to its step error;
+    curvature.ricci_potential gives the same value by quadrature."""
+
     step: int
     t: float
     dt: float
@@ -223,8 +233,11 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     trace = FlowTrace()
     state = s0
     ks = np.empty((len(_E), m.n_boundary))   # the stages of one attempt
+    gs = np.empty(len(_E))                   # dPhi/dt at each stage
     ks[0], k = _evaluate(m, state, cfg)
+    gs[0] = -(k - cfg.kbar) @ ks[0]
     trace.rhs_evals = 1
+    potential = 0.0
     resid_inf = float(np.max(np.abs(k - cfg.kbar)))
     energy = calabi_energy(k, cfg.kbar)
     t = 0.0
@@ -237,7 +250,7 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
         trace.rows.append(TraceRow(
             step=step, t=t, dt=dt_used, residual_inf=resid_inf,
             calabi_energy=energy,
-            ricci_potential_delta=ricci_potential(m, state, s0, cfg.kbar),
+            ricci_potential_delta=potential,
             min_edge_length=float(np.min(edge_lengths(m, state))),
             max_u=float(np.max(state.u)),
         ))
@@ -260,10 +273,12 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
             try:
                 for i, a in enumerate(_A[:-1]):
                     stage = ConformalState(u=state.u + dt * (a @ ks[:i + 1]))
-                    ks[i + 1], _ = _evaluate(m, stage, cfg)
+                    ks[i + 1], stage_k = _evaluate(m, stage, cfg)
+                    gs[i + 1] = -(stage_k - cfg.kbar) @ ks[i + 1]
                     trace.rhs_evals += 1
                 new_state = ConformalState(u=state.u + dt * (_A[-1] @ ks[:-1]))
                 ks[-1], new_k = _evaluate(m, new_state, cfg)
+                gs[-1] = -(new_k - cfg.kbar) @ ks[-1]
                 trace.rhs_evals += 1
             except StateError as exc:
                 trace.rejected_inadmissible += 1
@@ -288,7 +303,8 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
                 f"at t={t!r} (dt collapsed to {dt!r}); the continuous flow stays "
                 f"interior, so this indicates a defect")
         state, k, energy = accepted
-        ks[0] = ks[-1]
+        potential += dt * float(_A[-1] @ gs[:-1])
+        ks[0], gs[0] = ks[-1], gs[-1]
         resid_inf = float(np.max(np.abs(k - cfg.kbar)))
         t += dt
         step += 1

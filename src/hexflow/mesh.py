@@ -159,26 +159,6 @@ class IdealTriangulation:
             ends=np.array([e.ends for e in self.edges], dtype=np.intp),
             phi=phi, cosh_phi=np.cosh(phi)))
 
-    def tiled_tables(self, copies: int) -> FaceTables:
-        """`tables` of the disjoint union of `copies` copies of the mesh.
-
-        Copy c holds edge e at c * E + e and component i at c * N + i, so
-        one kernel call over the radii of `copies` states, concatenated,
-        evaluates each of them in the same order as the single-state call.
-        Built once per number of copies and kept with the mesh.
-        """
-        cache = self.__dict__.setdefault("_tiled_tables", {})
-        if copies not in cache:
-            t = self.tables
-            edge_offset = (np.arange(copies) * len(self.edges))[:, None, None]
-            vertex_offset = (np.arange(copies) * self.n_boundary)[:, None, None]
-            cache[copies] = _read_only(FaceTables(
-                sides=(t.sides[:, None] + edge_offset).reshape(3, -1, 3),
-                vertex=(t.vertex + vertex_offset).reshape(-1, 3),
-                ends=(t.ends + vertex_offset).reshape(-1, 2),
-                phi=np.tile(t.phi, copies), cosh_phi=np.tile(t.cosh_phi, copies)))
-        return cache[copies]
-
     @cached_property
     def laplacian_pattern(self) -> LaplacianPattern:
         """Built on first use, so that evaluating K alone skips it."""
@@ -214,34 +194,32 @@ class ConformalState:
 
 
 def check_admissible(m: IdealTriangulation, u: np.ndarray) -> None:
-    """Raise StateError unless u lies in the admissible space of m.
+    """Raise StateError unless u, one state of shape (N,), lies in the
+    admissible space of m.
 
     This is the one admissibility test: validate_state and the face kernel
     in curvature both run it.  It is exact, as u_i + u_j > -phi_ij holds
-    exactly when cosh l_ij > 1.  u is one state of shape (N,) or a batch of
-    shape (N, S), one state per column; indexing the leading axis keeps the
-    single-state path as fast as plain indexing.
+    exactly when cosh l_ij > 1.
     """
+    if u.shape != (m.n_boundary,):
+        raise StateError(f"state has {u.size} components, mesh has {m.n_boundary}")
     # one reduction per bound on the fast path; NaN fails every comparison
     if not (u.max() < 0 and u.min() > -math.inf):
         i = int(np.argmin(np.isfinite(u) & (u < 0)))
-        raise StateError(f"u[{np.unravel_index(i, u.shape)[0]}] = "
-                         f"{float(u.flat[i])!r} violates u < 0")
+        raise StateError(f"u[{i}] = {float(u[i])!r} violates u < 0")
     t = m.tables
-    slack = (u[t.ends[:, 0]] + u[t.ends[:, 1]]).T + t.phi
+    slack = u[t.ends[:, 0]] + u[t.ends[:, 1]] + t.phi
     if not slack.min() > ADMISSIBILITY_MARGIN:
         k = int(np.argmin(slack > ADMISSIBILITY_MARGIN))
-        e = m.edges[k % len(m.edges)]
+        e = m.edges[k]
         i, j = e.ends
         raise StateError(f"edge {e.id} constraint u_{i + 1} + u_{j + 1} > "
-                         f"-phi violated (slack {float(slack.flat[k]):.3e})")
+                         f"-phi violated (slack {float(slack[k]):.3e})")
 
 
 def validate_state(m: IdealTriangulation, u) -> ConformalState:
     """Check u against the admissible space of m; raises StateError otherwise."""
     u = np.asarray(u, dtype=float).copy()
-    if u.shape != (m.n_boundary,):
-        raise StateError(f"state has {u.size} components, mesh has {m.n_boundary}")
     check_admissible(m, u)
     return ConformalState(u=u)
 
@@ -328,25 +306,39 @@ def load_mesh(path) -> IdealTriangulation:
         return parse_mesh(fh.read())
 
 
-def parse_state_vector(text: str | bytes) -> np.ndarray:
-    """Parse a state file into a raw u vector (radii converted, not validated)."""
+def parse_keyed_vector(text: str | bytes, what: str,
+                       keys: tuple[str, str]) -> tuple[str, np.ndarray]:
+    """Parse a JSON object holding exactly one of the two `keys`, whose value
+    is a list of numbers; returns the key present and the values as floats.
+
+    `what` names the document in the FormatError messages.  The state file
+    and the CLI's target file share this format.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        # every number is read as a float, so an integer too large for one
+        # becomes inf, as the number 1e400 does, instead of raising
+        # OverflowError; true and false stay bool
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"state JSON syntax error at line {exc.lineno} "
+        raise FormatError(f"{what} JSON syntax error at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
-    _require(isinstance(doc, dict), "state document must be a JSON object")
-    keys = [k for k in ("u", "r") if k in doc]
-    _require(len(keys) == 1, 'state document must contain exactly one of "u" or "r"')
-    values = doc[keys[0]]
-    _require(isinstance(values, list)
-             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     for v in values),
-             f'state key {keys[0]!r} must be a list of numbers')
-    if keys[0] == "u":
-        return np.array(values, dtype=float)
+    _require(isinstance(doc, dict), f"{what} document must be a JSON object")
+    present = [k for k in keys if k in doc]
+    _require(len(present) == 1,
+             f'{what} document must contain exactly one of "{keys[0]}" or "{keys[1]}"')
+    values = doc[present[0]]
+    _require(isinstance(values, list) and all(type(v) is float for v in values),
+             f"{what} key {present[0]!r} must be a list of numbers")
+    return present[0], np.array(values, dtype=float)
+
+
+def parse_state_vector(text: str | bytes) -> np.ndarray:
+    """Parse a state file into a raw u vector (radii converted, not validated)."""
+    key, values = parse_keyed_vector(text, "state", ("u", "r"))
+    if key == "u":
+        return values
     return np.array([to_conformal(float(ri)) for ri in values])
 
 

@@ -104,12 +104,14 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
         d = -factor_spd(-sparse_laplacian(m, state)).solve(resid)
         t = 1.0
         for backtracks in range(MAX_BACKTRACKS):
+            # the kernel checks the trial; an inadmissible one, or one whose
+            # radii overflow the kernel, halves the step
+            trial = ConformalState(u=state.u - t * d)
             try:
-                trial = validate_state(m, state.u - t * d)
+                trial_resid = curvature(m, trial) - kbar
             except StateError:
                 t *= 0.5
                 continue
-            trial_resid = curvature(m, trial) - kbar
             trial_inf = float(np.max(np.abs(trial_resid)))
             if trial_inf <= (1.0 - t / 4.0) * resid_inf:
                 state, resid, resid_inf = trial, trial_resid, trial_inf

@@ -141,6 +141,18 @@ def torus_grid_doc(n: int, phi) -> dict:
     return {"n_boundary": n * n, "edges": edges, "faces": faces}
 
 
+def random_mesh(name, rng):
+    """The named mesh ("pants", "torus" or "grid<n>") with every weight
+    drawn from U(0.5, 3)."""
+    if name.startswith("grid"):
+        n = int(name[4:])
+        return hf.parse_mesh(json.dumps(torus_grid_doc(n, rng.uniform(0.5, 3.0, 3 * n * n))))
+    doc = json.loads(json.dumps(PANTS_DOC if name == "pants" else TORUS_DOC))
+    for e in doc["edges"]:
+        e["phi"] = float(rng.uniform(0.5, 3.0))
+    return hf.parse_mesh(json.dumps(doc))
+
+
 def admissible_state(m, rng, lo=0.05, hi=0.95):
     """u_i = -U(lo, hi) * min(1, phi_min(i) / 2), phi_min(i) the smallest
     weight at component i; hi < 1 keeps every edge slack >= (1 - hi) phi."""

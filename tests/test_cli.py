@@ -203,6 +203,20 @@ class TestSolve:
         assert main(["solve", pants_file, "--target", str(target)]) == 2
         assert "positive and finite" in caplog.text
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"kbar": [1.0, 1.0,', "target JSON syntax error at line 1"),
+        ('{"kbar": [1.0, 1.0, 1.0], "K": [1.0, 1.0, 1.0]}',
+         'exactly one of "kbar" or "K"'),
+        ('{"target": [1.0, 1.0, 1.0]}', 'exactly one of "kbar" or "K"'),
+        ('{"kbar": [1.0, true, 1.0]}', "target key 'kbar' must be a list of numbers"),
+        ('{"kbar": [1' + "0" * 400 + ', 1.0, 1.0]}', "positive and finite"),
+    ], ids=["syntax", "both_keys", "neither_key", "bool_entry", "int_past_float_range"])
+    def test_malformed_target_exit_2(self, pants_file, tmp_path, caplog, text, message):
+        target = tmp_path / "target.json"
+        target.write_text(text)
+        assert main(["solve", pants_file, "--target", str(target)]) == 2
+        assert message in caplog.text
+
     def test_torus_default_start(self, torus_file, tmp_path):
         target = write_json(tmp_path, "target.json", {"kbar": [2.0]})
         assert main(["solve", torus_file, "--target", target]) == 0

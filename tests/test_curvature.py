@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hexflow as hf
-from hexflow.curvature import _GL_TOL, _curvatures, _gauss_legendre
+from hexflow.curvature import _GL_TOL, _gauss_legendre
 from conftest import (K_PANTS_R1, PANTS_DOC, admissible_state, disjoint_union,
                       fd_curvature_jacobian, sample_valid_states,
                       torus_grid_doc)
@@ -164,17 +164,17 @@ def mpmath_potential(m, s, s0, kbar):
 class TestRicciPotentialAccuracy:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """Count the potential's batched kernel calls, failing past 100
-        instead of bisecting without end."""
+        """Count the potential's curvature calls, one per node, failing past
+        100 pieces of 48 nodes instead of bisecting without end."""
         module = sys.modules["hexflow.curvature"]
-        batched, calls = module._curvatures, []
+        single, calls = module.curvature, []
 
-        def counted(m, u):
+        def counted(m, s):
             calls.append(1)
-            assert len(calls) <= 100, "potential keeps bisecting"
-            return batched(m, u)
+            assert len(calls) <= 100 * 48, "potential keeps bisecting"
+            return single(m, s)
 
-        monkeypatch.setattr(module, "_curvatures", counted)
+        monkeypatch.setattr(module, "curvature", counted)
         return calls
 
     def test_pants_interior_segment(self, pants):
@@ -193,7 +193,8 @@ class TestRicciPotentialAccuracy:
         # GL16 alone misses the 1e-9 contract here, and GL32 alone 1e-12
         nodes, w16, w32 = _gauss_legendre()
         d = s.u - s0.u
-        g = (_curvatures(pants, s0.u + nodes[:, None] * d) - kbar) @ d
+        g = np.array([hf.curvature(pants, hf.ConformalState(u=u)) - kbar
+                      for u in s0.u + nodes[:, None] * d]) @ d
         gl16, gl32 = -(w16 @ g[:16]), -(w32 @ g[16:])
         assert abs(gl16 - gl32) > _GL_TOL
         assert abs(gl16 - exact) > 1e-9

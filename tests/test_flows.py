@@ -7,7 +7,7 @@ import pytest
 
 import hexflow as hf
 import hexflow.flows as flows
-from conftest import admissible_state, sample_valid_states, torus_grid_doc
+from conftest import admissible_state, random_mesh, sample_valid_states, torus_grid_doc
 
 
 @pytest.fixture
@@ -237,3 +237,21 @@ def test_grid_flows_converge_from_default_start(n, kind):
     final, _, status = hf.integrate(m, hf.default_start(m), cfg)
     assert status is hf.Status.CONVERGED
     assert np.max(np.abs(final.u - target.u)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", [hf.FlowKind.ricci(), hf.FlowKind.calabi(),
+                                  hf.FlowKind.fractional(0.5)], ids=lambda k: k.name)
+@pytest.mark.parametrize("name", ["pants", "grid3", "grid4"])
+def test_trace_potential_matches_quadrature(name, kind):
+    # the integrator carries the potential along its stages; at whatever
+    # step a run stops, the carried value agrees with the line integral
+    rng = np.random.default_rng(7)
+    m = random_mesh(name, rng)
+    kbar = hf.curvature(m, admissible_state(m, rng, 0.3, 0.9))
+    s0 = hf.default_start(m)
+    for max_steps in (1, 7, 25, 60):
+        cfg = hf.FlowConfig(kind=kind, kbar=kbar, max_steps=max_steps)
+        final, trace, _ = hf.integrate(m, s0, cfg)
+        carried = trace.rows[-1].ricci_potential_delta
+        assert abs(carried - hf.ricci_potential(m, final, s0, kbar)) <= \
+            1e-9 * max(1.0, abs(carried))

@@ -17,22 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hexflow as hf
-from hexflow.curvature import _curvatures, curvature_laplacian
-from conftest import (PANTS_DOC, TORUS_DOC, admissible_state, disjoint_union,
-                      reference_curvature, reference_laplacian, torus_grid_doc)
+from hexflow.curvature import curvature_laplacian
+from conftest import (PANTS_DOC, admissible_state, disjoint_union, random_mesh,
+                      reference_curvature, reference_laplacian)
 
 MESHES = ["pants", "torus"] + [f"grid{n}" for n in range(3, 11)]
-
-
-def random_mesh(name, rng):
-    """The named mesh with every weight drawn from U(0.5, 3)."""
-    if name.startswith("grid"):
-        n = int(name[4:])
-        return hf.parse_mesh(json.dumps(torus_grid_doc(n, rng.uniform(0.5, 3.0, 3 * n * n))))
-    doc = json.loads(json.dumps(PANTS_DOC if name == "pants" else TORUS_DOC))
-    for e in doc["edges"]:
-        e["phi"] = float(rng.uniform(0.5, 3.0))
-    return hf.parse_mesh(json.dumps(doc))
 
 
 def exact_hexagons(m, u, digits=30):
@@ -176,6 +165,8 @@ BAD_STATES = {
     "radius_inf": ([-0.5, -1e-310, -0.5], "radii up to inf overflow the face kernel"),
     # r = 691 is finite, but the kernel's products of cosh l overflow
     "radius_691": ([-1e-300, -0.5, -0.5], "radii up to 691.* overflow the face kernel"),
+    "too_long": ([-0.5] * 4, "state has 4 components, mesh has 3"),
+    "too_short": ([-0.5] * 2, "state has 2 components, mesh has 3"),
 }
 
 EVALUATORS = {
@@ -184,9 +175,6 @@ EVALUATORS = {
     "sparse_laplacian": hf.sparse_laplacian,
     "curvature_laplacian": curvature_laplacian,
     "edge_lengths": hf.edge_lengths,
-    # the bad state as the middle row of a batch
-    "batched": lambda m, s: _curvatures(
-        m, np.array([[-0.5, -0.5, -0.5], s.u, [-0.6, -0.4, -0.5]])),
 }
 
 
@@ -198,28 +186,6 @@ def test_every_evaluator_rejects_bad_state(pants, state, evaluator):
     u, message = BAD_STATES[state]
     with pytest.raises(hf.StateError, match=message):
         EVALUATORS[evaluator](pants, hf.ConformalState(u=np.array(u)))
-
-
-@pytest.mark.parametrize("n", [3, 7])
-def test_batched_curvature_rows_equal_single_state(n):
-    rng = np.random.default_rng(n)
-    m = random_mesh(f"grid{n}", rng)
-    u = np.array([admissible_state(m, rng).u for _ in range(48)])
-    k = _curvatures(m, u)
-    assert k.shape == (48, m.n_boundary)
-    for row, ui in zip(k, u):
-        assert np.array_equal(row, hf.curvature(m, hf.validate_state(m, ui)))
-
-
-@pytest.mark.parametrize("u,error", [
-    ([-1.0, -1.0, -0.5], hf.StateError),      # u_1 + u_2 = -phi
-    ([-0.5, -0.5, 0.0], hf.StateError),        # u_3 = 0
-    ([-0.5, -1e-310, -0.5], hf.StateError),    # r_2 = inf overflows the kernel
-])
-def test_batched_curvature_checks_every_row(pants, u, error):
-    batch = np.array([[-0.5, -0.5, -0.5], u, [-0.6, -0.4, -0.5]])
-    with pytest.raises(error):
-        _curvatures(pants, batch)
 
 
 def test_face_tables_built_lazily(pants):

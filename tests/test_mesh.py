@@ -157,6 +157,11 @@ class TestStateFiles:
         with pytest.raises(hf.FormatError, match="exactly one"):
             hf.parse_state_vector('{"radii": [1.0]}')
 
+    def test_integer_past_float_range_reads_inf(self):
+        # like the number -1e400; the state check then rejects it
+        u = hf.parse_state_vector('{"u": [-1' + "0" * 400 + ', -0.5]}')
+        assert np.array_equal(u, [-np.inf, -0.5])
+
     def test_extra_keys_tolerated(self):
         # solver output carries "K" alongside "u" and must reload as a state
         u = hf.parse_state_vector('{"u": [-0.5], "K": [2.0]}')

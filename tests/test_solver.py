@@ -1,5 +1,6 @@
 import logging
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ class TestNewtonSolve:
                                 rf"t=\S+ backtracks=\d+", line)
         assert float(lines[-1].split("residual_inf=")[1].split()[0]) == pytest.approx(
             res.residual_inf, rel=1e-3)
+
+    def test_trials_checked_once(self, pants, monkeypatch):
+        # the kernel inside curvature checks each backtracking trial, so
+        # with an explicit start validate_state is never called; from this
+        # start three of the trials toward kbar = 5 are inadmissible
+        start = hf.default_start(pants)
+        solver = sys.modules["hexflow.solver"]
+        calls = []
+        validate_state = solver.validate_state
+        monkeypatch.setattr(solver, "validate_state",
+                            lambda m, u: calls.append(1) or validate_state(m, u))
+        res = hf.newton_solve(pants, start, np.full(3, 5.0), tol=1e-12)
+        assert res.converged and res.iterations > 0
+        assert calls == []
 
     def test_precondition_errors(self, pants, pants_r1):
         with pytest.raises(ValueError):
