@@ -11,22 +11,32 @@ flow; both reductions are exact special cases in fractional_power.  For the
 Calabi and fractional flows K and Delta come from one call of the face
 kernel.
 
-The integrator is the embedded Dormand-Prince 5(4) pair (Dormand & Prince,
-J. Comput. Appl. Math. 6, 1980), advancing the 5th-order solution.  It is
-FSAL ("first same as last"): the 7th stage is evaluated at the new state,
-where it also gives the K of the energy check, and is the next step's first
-stage, so an attempt costs 6 rhs evaluations.  A step is accepted when
-max|dt sum_j e_j k_j|, the difference of the two solutions, is at most the
-absolute STEP_ERROR_TOL (Hairer, Norsett & Wanner, Solving ODEs I, sections
-II.4-II.5).  A PI controller (Hairer & Wanner, Solving ODEs II, section
-IV.2) sets the next dt from this attempt's error and the last accepted
-one's, capped at 10 dt0.  An attempt is rejected and dt halved when
-the face kernel raises StateError at a stage or at the new state (it left
-the admissible space, or its radii overflow the kernel), or when the Calabi
-energy increases (Ricci/Calabi kinds); the kernel's own check is the only
-admissibility test of a stage.  The continuous flows provably stay
-interior and decrease the energy, so persistent rejection signals a bug and
-raises StepCollapseError after 60 consecutive rejections.
+The integrator is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+section II.10), Prince and Dormand's explicit 8th-order Runge-Kutta method
+with embedded 5th- and 3rd-order error estimators, advancing the 8th-order
+solution with 12 stages.  It is FSAL ("first same as last"): the
+evaluation at the new state gives the K of the energy check and Delta for
+the stability cap, and is the next step's first stage, so an attempt costs
+12 rhs evaluations.  The error estimate blends the differences from the
+embedded 5th- and 3rd-order solutions as Hairer's DOP853 code does, in the
+per-component absolute max norm, and a step is accepted when it is at most
+STEP_ERROR_TOL.  The next dt is dt * 0.9 err^(-1/8), clipped to [1/3, 6]
+and not grown right after a rejection, and then capped so that the flow
+linearized at the new state stays inside the tableau's real stability
+interval [-STABILITY_BOUND, 0]: dt <= 0.9 STABILITY_BOUND / g^p, with g the
+largest absolute row sum of Delta, a Gershgorin bound on the eigenvalues of
+-Delta, and p = 1 (Ricci), 2 (Calabi) or 1 + s (fractional).  Without the
+cap, dt would settle where the stiffest mode of u - u* neither decays nor
+grows, and the residual would stall at a size set by STEP_ERROR_TOL.  The
+first trial step is FlowConfig.dt0, uncapped.
+
+An attempt is rejected and dt halved when the face kernel raises StateError
+at a stage or at the new state (it left the admissible space, or its radii
+overflow the kernel), or when the Calabi energy increases (Ricci/Calabi
+kinds); the kernel's own check is the only admissibility test of a stage.
+The continuous flows provably stay interior and decrease the energy, so
+persistent rejection signals a bug and raises StepCollapseError after 60
+consecutive rejections.
 
 The Ricci potential Phi, whose gradient is -(K - Kbar), is carried as one
 more component of the ODE: dPhi/dt = -(K - Kbar) . du/dt at every stage,
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,35 +62,82 @@ from .mesh import ConformalState, IdealTriangulation
 
 logger = logging.getLogger(__name__)
 
-STEP_ERROR_TOL = 1e-9       # per-component absolute tolerance on the error estimate
+STEP_ERROR_TOL = 1e-10      # per-component absolute tolerance on the error estimate
 ENERGY_SLACK = 1e-12        # allowed Calabi-energy increase on a step
 MAX_HALVINGS = 60           # consecutive rejections before StepCollapseError
 
-# Dormand-Prince 5(4): row i of _A gives stage i + 1 from stages 0..i, and
-# its last row, the 5th-order weights, gives the new state and so the FSAL
-# stage; _E is the 5th- minus the 4th-order weights over all 7 stages
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, section II.10; Prince &
+# Dormand, J. Comput. Appl. Math. 7, 1981), with the coefficients of
+# Hairer's DOP853 code.  Row i of _A gives stage i + 1 from stages 0..i,
+# and its last row, the 8th-order weights, gives the new state and so the
+# FSAL stage.  _E5 and _E3 are the 8th-order weights minus those of the
+# embedded 5th- and 3rd-order solutions, over the 12 stages.  _C holds the
+# nodes; the flows are autonomous, so only the tableau's tests read it.
 _A = tuple(np.array(row) for row in (
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1],
+    [5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+     4.45031289275240888144113950566, 1.89151789931450038304281599044,
+     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+     4.47106157277725905176885569043e-2],
 ))
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
+_E5 = np.array(
+    [0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+     -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+     0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+     0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+     -0.2235530786388629525884427845e-1])
+_E3 = _A[-1] - np.array(
+    [0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+     0.733846688281611857341361741547, 0.0, 0.0,
+     0.220588235294117647058823529412e-1])
+_C = np.array(
+    [0.0, 0.526001519587677318785587544488e-01,
+     0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+     0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25,
+     0.307692307692307692307692307692, 0.651282051282051282051282051282, 0.6,
+     0.857142857142857142857142857142, 1.0])
 
-# PI step-size controller: dt *= SAFETY * err^-PI_ALPHA * err_prev^PI_BETA
-# with errors in units of STEP_ERROR_TOL, clipped to [FACTOR_MIN,
-# FACTOR_MAX].  As in Hairer's DOPRI5 code, err_prev starts at, and is
-# floored to, ERR_PREV_MIN, and a step accepted after a rejection does not
-# grow dt.
+# Step-size controller: dt *= SAFETY * err^(-1/8), with err in units of
+# STEP_ERROR_TOL, clipped to [FACTOR_MIN, FACTOR_MAX]; as in Hairer's
+# DOP853 code, a step accepted after a rejection does not grow dt.
 SAFETY = 0.9
-PI_ALPHA = 0.7 / 5
-PI_BETA = 0.4 / 5
-FACTOR_MIN = 0.2
-FACTOR_MAX = 5.0
-ERR_PREV_MIN = 1e-4
+FACTOR_MIN = 1 / 3
+FACTOR_MAX = 6.0
+
+# |R(-STABILITY_BOUND)| = 1 for the stability function R of the tableau,
+# and |R(x)| < 1 on (-STABILITY_BOUND, 0): the real-axis stability interval
+STABILITY_BOUND = 6.3936515
 
 
 @dataclass(frozen=True)
@@ -114,7 +172,7 @@ class FlowKind:
 class FlowConfig:
     kind: FlowKind
     kbar: np.ndarray
-    dt0: float = 0.01
+    dt0: float = 0.01         # first trial step; the stability cap applies from step 2
     tol: float = 1e-10
     max_steps: int = 200_000
     trace_every: int = 10
@@ -193,19 +251,22 @@ def fractional_power(a: np.ndarray, s: float) -> np.ndarray:
     return -(v * w ** s) @ v.T
 
 
-def _evaluate(m: IdealTriangulation, s: ConformalState,
-              cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
-    """du/dt of the configured flow at the state s, and K at s, from one
-    kernel call."""
+def _evaluate(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig,
+              with_laplacian: bool = False):
+    """du/dt of the configured flow at the state s, K at s and, for the
+    Calabi and fractional flows or when with_laplacian is set, Delta at s
+    (else None), from one kernel call."""
     kind = cfg.kind
-    if kind.name == "ricci":
+    if kind.name == "ricci" and not with_laplacian:
         k = curvature(m, s)
-        return k - cfg.kbar, k
+        return k - cfg.kbar, k, None
     k, lap = curvature_laplacian(m, s)
     resid = k - cfg.kbar
+    if kind.name == "ricci":
+        return resid, k, lap
     if kind.name == "calabi":
-        return -lap @ resid, k
-    return -fractional_power(lap, kind.s) @ resid, k
+        return -lap @ resid, k, lap
+    return -fractional_power(lap, kind.s) @ resid, k, lap
 
 
 def rhs(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig) -> np.ndarray:
@@ -213,13 +274,23 @@ def rhs(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig) -> np.ndarray
     return _evaluate(m, s, cfg)[0]
 
 
-def _step_factor(err: float, err_prev: float) -> float:
-    """PI factor for dt from the error estimate of this attempt and the
-    last accepted one, both in units of STEP_ERROR_TOL."""
+def _step_error(dt: float, ks: np.ndarray) -> float:
+    """The error estimate of a step, in units of STEP_ERROR_TOL, from its
+    12 stages ks: DOP853's blend of the 5th- and 3rd-order differences,
+    each in the per-component absolute max norm."""
+    e5 = float(np.max(np.abs(_E5 @ ks)))
+    e3 = float(np.max(np.abs(_E3 @ ks)))
+    if e5 == 0.0:
+        return 0.0
+    return dt * e5 * e5 / (math.sqrt(e5 * e5 + 0.01 * e3 * e3) * STEP_ERROR_TOL)
+
+
+def _step_factor(err: float) -> float:
+    """Factor for dt from the error estimate err of an attempt, in units of
+    STEP_ERROR_TOL."""
     if err == 0.0:
         return FACTOR_MAX
-    factor = SAFETY * err ** -PI_ALPHA * err_prev ** PI_BETA
-    return min(FACTOR_MAX, max(FACTOR_MIN, factor))
+    return min(FACTOR_MAX, max(FACTOR_MIN, SAFETY * err ** (-1 / 8)))
 
 
 def integrate(m: IdealTriangulation, s0: ConformalState,
@@ -230,11 +301,16 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     Each rejected attempt is logged at DEBUG on the hexflow.flows logger and
     counted in the trace by cause."""
     monotone = cfg.kind.name in ("ricci", "calabi")
+    # the flow linearized at u* is du/dt = -(-Delta)^power (u - u*)
+    if cfg.kind.name == "fractional":
+        power = 1.0 + cfg.kind.s
+    else:
+        power = 1.0 if cfg.kind.name == "ricci" else 2.0
     trace = FlowTrace()
     state = s0
-    ks = np.empty((len(_E), m.n_boundary))   # the stages of one attempt
-    gs = np.empty(len(_E))                   # dPhi/dt at each stage
-    ks[0], k = _evaluate(m, state, cfg)
+    ks = np.empty((len(_A) + 1, m.n_boundary))   # the stages of one attempt
+    gs = np.empty(len(_A) + 1)                   # dPhi/dt at each stage
+    ks[0], k, _ = _evaluate(m, state, cfg)
     gs[0] = -(k - cfg.kbar) @ ks[0]
     trace.rhs_evals = 1
     potential = 0.0
@@ -242,8 +318,6 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     energy = calabi_energy(k, cfg.kbar)
     t = 0.0
     dt = cfg.dt0
-    dt_max = 10.0 * cfg.dt0
-    err_prev = ERR_PREV_MIN
     step = 0
 
     def record(dt_used: float) -> None:
@@ -273,47 +347,51 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
             try:
                 for i, a in enumerate(_A[:-1]):
                     stage = ConformalState(u=state.u + dt * (a @ ks[:i + 1]))
-                    ks[i + 1], stage_k = _evaluate(m, stage, cfg)
+                    ks[i + 1], stage_k, _ = _evaluate(m, stage, cfg)
                     gs[i + 1] = -(stage_k - cfg.kbar) @ ks[i + 1]
                     trace.rhs_evals += 1
                 new_state = ConformalState(u=state.u + dt * (_A[-1] @ ks[:-1]))
-                ks[-1], new_k = _evaluate(m, new_state, cfg)
+                ks[-1], new_k, new_lap = _evaluate(m, new_state, cfg,
+                                                   with_laplacian=True)
                 gs[-1] = -(new_k - cfg.kbar) @ ks[-1]
                 trace.rhs_evals += 1
             except StateError as exc:
                 trace.rejected_inadmissible += 1
                 reject("inadmissible", str(exc))
                 continue
-            err = dt * float(np.max(np.abs(_E @ ks))) / STEP_ERROR_TOL
+            err = _step_error(dt, ks[:-1])
             if err > 1.0:
                 trace.rejected_error += 1
                 reject("error", f"error estimate {err!r} x STEP_ERROR_TOL",
-                       _step_factor(err, err_prev))
+                       _step_factor(err))
                 continue
             new_energy = calabi_energy(new_k, cfg.kbar)
             if monotone and new_energy > energy + ENERGY_SLACK:
                 trace.rejected_energy += 1
                 reject("energy", f"Calabi energy {energy!r} -> {new_energy!r}")
                 continue
-            accepted = (new_state, new_k, new_energy)
+            accepted = (new_state, new_k, new_energy, new_lap)
             break
         if accepted is None:
             raise StepCollapseError(
                 f"no acceptable step after {MAX_HALVINGS} consecutive rejections "
                 f"at t={t!r} (dt collapsed to {dt!r}); the continuous flow stays "
                 f"interior, so this indicates a defect")
-        state, k, energy = accepted
+        state, k, energy, lap = accepted
         potential += dt * float(_A[-1] @ gs[:-1])
         ks[0], gs[0] = ks[-1], gs[-1]
         resid_inf = float(np.max(np.abs(k - cfg.kbar)))
         t += dt
         step += 1
         dt_used = dt
-        factor = _step_factor(err, err_prev)
+        factor = _step_factor(err)
         if after_rejection:
             factor = min(factor, 1.0)
-        dt = min(dt * factor, dt_max)
-        err_prev = max(err, ERR_PREV_MIN)
+        # keep dt inside the stability interval of the flow linearized at
+        # the new state: the Gershgorin bound g of -Delta bounds its
+        # eigenvalues, so those of the linearization are at most g^power in size
+        g = float(np.max(np.abs(lap).sum(axis=1)))
+        dt = min(dt * factor, SAFETY * STABILITY_BOUND / g ** power)
         converged = resid_inf < cfg.tol
         if converged or step % cfg.trace_every == 0:
             record(dt_used)

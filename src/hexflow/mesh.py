@@ -19,6 +19,7 @@ one of the two keys present; radii are converted on load.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -138,10 +139,16 @@ class IdealTriangulation:
             if c != 2:
                 raise FormatError(f"edge {eid} appears in {c} face-corner slots, "
                                   f"expected exactly 2 (closed gluing)")
-        missing = set(range(n)) - corner_vertices
+        # every corner vertex is in range, so they cover all n components
+        # exactly when there are n of them; the count keeps a huge declared
+        # n_boundary from costing time and memory before it is rejected
+        missing = n - len(corner_vertices)
         if missing:
-            raise FormatError("boundary components "
-                              f"{sorted(v + 1 for v in missing)} appear in no face corner")
+            first = list(itertools.islice(
+                (v + 1 for v in range(n) if v not in corner_vertices), 10))
+            listed = ", ".join(map(str, first)) + (", ..." if missing > 10 else "")
+            raise FormatError(f"{missing} boundary components appear in no face "
+                              f"corner: {listed}")
 
     @cached_property
     def edge_by_id(self) -> dict[int, Edge]:
@@ -271,8 +278,11 @@ def parse_mesh(text: str | bytes) -> IdealTriangulation:
         _require(_is_int_list(ends, 2), f"edge entry {idx}: ends must be a pair of integers")
         _require(isinstance(e["phi"], (int, float)) and not isinstance(e["phi"], bool),
                  f"edge entry {idx}: phi must be a number")
-        edges.append(Edge(id=e["id"], ends=(ends[0] - 1, ends[1] - 1),
-                          phi=float(e["phi"])))
+        try:
+            phi = float(e["phi"])
+        except OverflowError:  # an integer too large for a float
+            phi = math.inf if e["phi"] > 0 else -math.inf
+        edges.append(Edge(id=e["id"], ends=(ends[0] - 1, ends[1] - 1), phi=phi))
 
     faces = []
     for idx, f in enumerate(doc["faces"]):

@@ -67,6 +67,23 @@ class TestCheck:
         assert main(["check", path]) == 2
         assert "edge 2 weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_weight_too_large_for_a_float_exit_2(self, tmp_path, capsys, sign):
+        doc = json.loads(json.dumps(PANTS_DOC))
+        doc["edges"][0]["phi"] = sign * int("9" * 400)
+        path = write_json(tmp_path, "huge.json", doc)
+        assert main(["check", path]) == 2
+        assert "edge 1 weight must be positive and at most 700" in capsys.readouterr().err
+
+    def test_huge_component_count_exit_2_with_short_message(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PANTS_DOC))
+        doc["n_boundary"] = 1_000_000
+        path = write_json(tmp_path, "many.json", doc)
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert "999997 boundary components appear in no face corner: 4, 5," in err
+
 
 class TestCurvature:
     def test_pants_r1(self, pants_file, r1_state_file, capsys):

@@ -108,6 +108,38 @@ class TestRhs:
                               hf.curvature(pants, s) - kbar)
 
 
+def stability_function(z):
+    """R(z): one step of the integrator's tableau on y' = z y from y = 1
+    with dt = 1, stage by stage as integrate takes it."""
+    ks = [z]
+    for a in flows._A:
+        y = 1.0 + a @ np.array(ks)
+        ks.append(z * y)
+    return y
+
+
+class TestTableau:
+    def test_stability_bound_is_real_axis_crossing(self):
+        bound = flows.STABILITY_BOUND
+        assert abs(abs(stability_function(-bound)) - 1.0) < 1e-6
+        inside = np.linspace(-bound, 0.0, 2001)[1:-1]
+        assert max(abs(stability_function(z)) for z in inside) < 1.0
+
+    def test_consistency(self):
+        assert len(flows._A) == len(flows._C) == 12
+        for a, c in zip(flows._A[:-1], flows._C[1:]):
+            assert abs(a.sum() - c) < 1e-14
+        assert abs(flows._A[-1].sum() - 1.0) < 1e-14
+        assert abs(flows._E5.sum()) < 1e-14
+        assert abs(flows._E3.sum()) < 1e-14
+
+    def test_one_step_error_falls_at_eighth_order(self):
+        # the local error of an order-8 step is O(dt^9)
+        errs = [abs(stability_function(-dt) - np.exp(-dt)) for dt in (1.0, 0.5, 0.25)]
+        rates = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all(rates > 8.0)
+
+
 class TestIntegrate:
     def perturbed(self, pants, pants_r1):
         return hf.validate_state(pants, pants_r1.u + np.array([0.1, -0.05, 0.02]))
@@ -198,10 +230,10 @@ class TestIntegrate:
         assert status is hf.Status.CONVERGED
         assert trace.rejected_inadmissible == 0
         steps = trace.rows[-1].step
-        # one evaluation at the start, then 6 per attempt: stage 7 of an
-        # accepted step is the first stage of the next
-        assert trace.rhs_evals == 1 + 6 * (steps + trace.rejected_error
-                                           + trace.rejected_energy)
+        # one evaluation at the start, then 12 per attempt: the evaluation
+        # at the new state of an accepted step is the first stage of the next
+        assert trace.rhs_evals == 1 + 12 * (steps + trace.rejected_error
+                                            + trace.rejected_energy)
 
     def test_large_dt0_rejects_inadmissible_stages(self, pants, pants_r1, caplog):
         kbar = hf.curvature(pants, pants_r1)
@@ -255,3 +287,22 @@ def test_trace_potential_matches_quadrature(name, kind):
         carried = trace.rows[-1].ricci_potential_delta
         assert abs(carried - hf.ricci_potential(m, final, s0, kbar)) <= \
             1e-9 * max(1.0, abs(carried))
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("grid3", hf.FlowKind.calabi()),
+    ("grid3", hf.FlowKind.fractional(0.5)),
+    ("grid10", hf.FlowKind.ricci()),
+], ids=lambda v: getattr(v, "name", v))
+def test_converges_at_default_tol(name, kind):
+    # near u* the step size must stay inside the tableau's stability
+    # region, or the stiffest mode of u - u* stops decaying at a size set
+    # by STEP_ERROR_TOL and the residual stalls above the default tol
+    rng = np.random.default_rng(0)
+    m = random_mesh(name, rng)
+    target = admissible_state(m, rng, 0.3, 0.9)
+    cfg = hf.FlowConfig(kind=kind, kbar=hf.curvature(m, target), max_steps=3000)
+    assert cfg.tol == 1e-10
+    final, _, status = hf.integrate(m, hf.default_start(m), cfg)
+    assert status is hf.Status.CONVERGED
+    assert np.max(np.abs(final.u - target.u)) < 1e-8
