@@ -160,12 +160,12 @@ def _laplacian_data(m: IdealTriangulation, jac: np.ndarray) -> np.ndarray:
     return np.bincount(p.slot, weights=jac.ravel(), minlength=p.indices.size)
 
 
-def _dense_laplacian(m: IdealTriangulation, jac: np.ndarray) -> np.ndarray:
-    """Dense Delta from the corner Jacobians jac of the face kernel."""
+def _dense_laplacian(m: IdealTriangulation, data: np.ndarray) -> np.ndarray:
+    """Dense Delta from its stored entries data (see _laplacian_data)."""
     p = m.laplacian_pattern
     n = m.n_boundary
     a = np.zeros((n, n))
-    a[p.indices, p.col] = _laplacian_data(m, jac)
+    a[p.indices, p.col] = data
     return a
 
 
@@ -182,7 +182,7 @@ def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
 def laplacian(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Dense matrix dK_i/du_j, assembled from the per-face corner Jacobians."""
     _theta, jac = _hexagons(m, s.u, jacobian=True)
-    return _dense_laplacian(m, jac)
+    return _dense_laplacian(m, _laplacian_data(m, jac))
 
 
 def curvature_laplacian(m: IdealTriangulation,
@@ -190,7 +190,7 @@ def curvature_laplacian(m: IdealTriangulation,
     """K and the dense Delta at s from one kernel call, bitwise equal to
     curvature(m, s) and laplacian(m, s)."""
     theta, jac = _hexagons(m, s.u, jacobian=True)
-    return _arc_sums(m, theta), _dense_laplacian(m, jac)
+    return _arc_sums(m, theta), _dense_laplacian(m, _laplacian_data(m, jac))
 
 
 def calabi_energy(k, kbar) -> float:

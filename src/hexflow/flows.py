@@ -15,7 +15,7 @@ The integrator is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 section II.10), Prince and Dormand's explicit 8th-order Runge-Kutta method
 with embedded 5th- and 3rd-order error estimators, advancing the 8th-order
 solution with 12 stages.  It is FSAL ("first same as last"): the
-evaluation at the new state gives the K of the energy check and Delta for
+evaluation at the new state gives the K of the energy check and g for
 the stability cap, and is the next step's first stage, so an attempt costs
 12 rhs evaluations.  The error estimate blends the differences from the
 embedded 5th- and 3rd-order solutions as Hairer's DOP853 code does, in the
@@ -57,7 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DefinitenessError, StateError, StepCollapseError
-from .curvature import calabi_energy, curvature, curvature_laplacian, edge_lengths
+from .curvature import (_arc_sums, _dense_laplacian, _hexagons, _laplacian_data,
+                        calabi_energy, curvature, edge_lengths)
 from .mesh import ConformalState, IdealTriangulation
 
 logger = logging.getLogger(__name__)
@@ -252,21 +253,32 @@ def fractional_power(a: np.ndarray, s: float) -> np.ndarray:
 
 
 def _evaluate(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig,
-              with_laplacian: bool = False):
-    """du/dt of the configured flow at the state s, K at s and, for the
-    Calabi and fractional flows or when with_laplacian is set, Delta at s
-    (else None), from one kernel call."""
+              with_bound: bool = False):
+    """du/dt of the configured flow at the state s, K at s and, when
+    with_bound is set, g at s (else None), from one kernel call.
+
+    g is the largest absolute row sum of Delta, a Gershgorin bound on the
+    eigenvalues of -Delta, summed over the stored entries of Delta; only
+    the Calabi and fractional flows build the dense Delta, for du/dt."""
     kind = cfg.kind
-    if kind.name == "ricci" and not with_laplacian:
+    if kind.name == "ricci" and not with_bound:
         k = curvature(m, s)
         return k - cfg.kbar, k, None
-    k, lap = curvature_laplacian(m, s)
+    theta, jac = _hexagons(m, s.u, jacobian=True)
+    k = _arc_sums(m, theta)
+    data = _laplacian_data(m, jac)
     resid = k - cfg.kbar
+    g = None
+    if with_bound:
+        p = m.laplacian_pattern
+        g = float(np.bincount(p.indices, weights=np.abs(data),
+                              minlength=m.n_boundary).max())
     if kind.name == "ricci":
-        return resid, k, lap
+        return resid, k, g
+    lap = _dense_laplacian(m, data)
     if kind.name == "calabi":
-        return -lap @ resid, k, lap
-    return -fractional_power(lap, kind.s) @ resid, k, lap
+        return -lap @ resid, k, g
+    return -fractional_power(lap, kind.s) @ resid, k, g
 
 
 def rhs(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig) -> np.ndarray:
@@ -351,8 +363,8 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
                     gs[i + 1] = -(stage_k - cfg.kbar) @ ks[i + 1]
                     trace.rhs_evals += 1
                 new_state = ConformalState(u=state.u + dt * (_A[-1] @ ks[:-1]))
-                ks[-1], new_k, new_lap = _evaluate(m, new_state, cfg,
-                                                   with_laplacian=True)
+                ks[-1], new_k, new_g = _evaluate(m, new_state, cfg,
+                                                 with_bound=True)
                 gs[-1] = -(new_k - cfg.kbar) @ ks[-1]
                 trace.rhs_evals += 1
             except StateError as exc:
@@ -370,14 +382,14 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
                 trace.rejected_energy += 1
                 reject("energy", f"Calabi energy {energy!r} -> {new_energy!r}")
                 continue
-            accepted = (new_state, new_k, new_energy, new_lap)
+            accepted = (new_state, new_k, new_energy, new_g)
             break
         if accepted is None:
             raise StepCollapseError(
                 f"no acceptable step after {MAX_HALVINGS} consecutive rejections "
                 f"at t={t!r} (dt collapsed to {dt!r}); the continuous flow stays "
                 f"interior, so this indicates a defect")
-        state, k, energy, lap = accepted
+        state, k, energy, g = accepted
         potential += dt * float(_A[-1] @ gs[:-1])
         ks[0], gs[0] = ks[-1], gs[-1]
         resid_inf = float(np.max(np.abs(k - cfg.kbar)))
@@ -390,7 +402,6 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
         # keep dt inside the stability interval of the flow linearized at
         # the new state: the Gershgorin bound g of -Delta bounds its
         # eigenvalues, so those of the linearization are at most g^power in size
-        g = float(np.max(np.abs(lap).sum(axis=1)))
         dt = min(dt * factor, SAFETY * STABILITY_BOUND / g ** power)
         converged = resid_inf < cfg.tol
         if converged or step % cfg.trace_every == 0:

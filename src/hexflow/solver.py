@@ -1,38 +1,48 @@
 """Newton solve of the prescribed-boundary-length problem K(u) = Kbar.
 
 The curvature map has the symmetric negative definite Jacobian Delta, so
-each iteration solves -Delta d = -(K - Kbar) and backtracks the step until
-the trial state is admissible and the residual satisfies a
+each iteration solves -Delta d = K - Kbar and backtracks the step u + t d
+until the trial state is admissible and the residual satisfies a
 sufficient-decrease condition.  Existence and uniqueness of the solution for
 any positive target is guaranteed, so a converged result is the solution.
 
--Delta is sparse, with one stored entry per pair of boundary components
-sharing a face, and is factored as a symmetric-pivoted LDL^T: SuperLU with a
-minimum-degree ordering of A^T + A and diagonal pivots only (Davis, Direct
-Methods for Sparse Linear Systems, SIAM 2006).  The pivots are the entries
-of D, so by Sylvester's law of inertia they are all positive exactly when
-the matrix is positive definite; the factorization checks that and raises
-DefinitenessError otherwise.
+-Delta is the sum over faces of the 3x3 blocks B_f = -d theta / d u of the
+face kernel, scattered onto the face's corners, and each block is positive
+definite (Guo & Luo).  Every iteration checks that face by face with
+Sylvester's criterion, all three leading minors positive, and raises
+DefinitenessError naming the first face that fails.  The check implies that
+-Delta is positive definite: with P_f the map from u to the three corner
+values of face f, x^T (-Delta) x = sum_f (P_f x)^T B_f (P_f x), and every
+component sits at some face corner, so the sum is positive for x != 0.
+
+The system is then solved without a factorization, by the conjugate-gradient
+method (Hestenes & Stiefel, J. Res. Nat. Bur. Standards 49, 1952)
+preconditioned with the diagonal of -Delta, whose matrix-vector product is
+one np.bincount over the stored entries of the face kernel.  CG stops once
+its residual is CG_RTOL times the right-hand side, or after CG_MAX_ITER
+iterations.  An inexact Newton step whose relative residual is bounded by a
+forcing term that tends to zero converges superlinearly, and quadratically
+when the forcing term is O(|K - Kbar|) (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982); CG_RTOL is near rounding, so the step is Newton's
+to working accuracy, and the sufficient-decrease test still judges it.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DefinitenessError, NoDescentError, StateError
-from .curvature import curvature, sparse_laplacian
+from .curvature import _hexagons, _laplacian_data, curvature
 from .mesh import ConformalState, IdealTriangulation, validate_state
-
-if TYPE_CHECKING:
-    from scipy.sparse.linalg import SuperLU
 
 logger = logging.getLogger(__name__)
 
 MAX_BACKTRACKS = 60
+CG_RTOL = 1e-13     # CG stops at |r| <= CG_RTOL |b| (2-norm) ...
+CG_MAX_ITER = 500   # ... or after this many iterations
 
 
 @dataclass(frozen=True)
@@ -43,27 +53,68 @@ class SolveResult:
     converged: bool
 
 
-def factor_spd(a) -> SuperLU:
-    """Sparse LDL^T factorization of a symmetric positive definite CSC matrix.
+def _check_face_blocks(jac: np.ndarray) -> None:
+    """Raise DefinitenessError unless every block -jac[f] of the corner
+    Jacobians jac (F, 3, 3) is positive definite: its three leading minors
+    are positive (Sylvester's criterion).  A NaN minor fails too."""
+    b = -jac
+    b00, b01, b02 = b[:, 0, 0], b[:, 0, 1], b[:, 0, 2]
+    b10, b11, b12 = b[:, 1, 0], b[:, 1, 1], b[:, 1, 2]
+    b20, b21, b22 = b[:, 2, 0], b[:, 2, 1], b[:, 2, 2]
+    minor2 = b00 * b11 - b01 * b10
+    minor3 = (b00 * (b11 * b22 - b12 * b21) - b01 * (b10 * b22 - b12 * b20)
+              + b02 * (b10 * b21 - b11 * b20))
+    ok = (b00 > 0.0) & (minor2 > 0.0) & (minor3 > 0.0)
+    if not ok.all():
+        f = int(np.argmin(ok))
+        raise DefinitenessError(
+            f"the block of -Delta at face {f} is not positive definite: leading "
+            f"minors {float(b00[f])!r}, {float(minor2[f])!r}, {float(minor3[f])!r}")
 
-    Raises DefinitenessError when the matrix is singular or not positive
-    definite: a zero or negative pivot, or a pivot taken off the diagonal.
-    """
-    from scipy.sparse.linalg import splu  # scipy loads on first use only
 
-    try:
-        lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise DefinitenessError(f"matrix is singular: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise DefinitenessError("matrix is not positive definite: "
-                                "a pivot was taken off the diagonal")
-    pivots = lu.U.diagonal()
-    if not np.all(pivots > 0.0):
-        raise DefinitenessError(f"matrix is not positive definite: pivot "
-                                f"{float(pivots[np.argmin(pivots > 0.0)])!r}")
-    return lu
+def _pcg(m: IdealTriangulation, a: np.ndarray,
+         b: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Solve A x = b for the symmetric positive definite A whose stored
+    entries are a, in the CSC order of m.laplacian_pattern, by CG
+    preconditioned with the diagonal of A.  Returns x, the iteration count
+    and the final relative residual |r| / |b| of the CG recurrence."""
+    p = m.laplacian_pattern
+    n = m.n_boundary
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        return np.bincount(p.indices, weights=a * v[p.col], minlength=n)
+
+    inv_diag = 1.0 / a[p.indices == p.col]   # one diagonal entry per column
+    x = np.zeros(n)
+    r = b.copy()
+    z = inv_diag * r
+    d = z
+    rz = r @ z
+    b_norm = float(np.linalg.norm(b))
+    r_norm = b_norm
+    it = 0
+    while r_norm > CG_RTOL * b_norm and it < CG_MAX_ITER:
+        q = matvec(d)
+        alpha = rz / (d @ q)
+        x += alpha * d
+        r -= alpha * q
+        z = inv_diag * r
+        rz_next = r @ z
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+        r_norm = float(np.linalg.norm(r))
+        it += 1
+    return x, it, r_norm / b_norm
+
+
+def _newton_direction(m: IdealTriangulation, u: np.ndarray,
+                      resid: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The solution d of -Delta(u) d = resid, with the CG iteration count
+    and relative residual, from one face-kernel call at u.  Raises
+    DefinitenessError when a face block of -Delta is not positive definite."""
+    _theta, jac = _hexagons(m, u, jacobian=True)
+    _check_face_blocks(jac)
+    return _pcg(m, -_laplacian_data(m, jac), resid)
 
 
 def default_start(m: IdealTriangulation) -> ConformalState:
@@ -79,10 +130,10 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
 
     Raises NoDescentError when backtracking cannot find an admissible step
     with residual decrease; a Ricci-flow warm start is the usual remedy.
-    Raises DefinitenessError when -Delta fails to factor as positive
-    definite.  The exact -Delta is positive definite on the whole admissible
-    space, so that signals rounding, at radii where the kernel has lost its
-    accuracy.
+    Raises DefinitenessError when a face block of -Delta is not positive
+    definite.  The exact blocks are positive definite on the whole
+    admissible space, so that signals rounding, at radii where the kernel
+    has lost its accuracy.
     """
     kbar = np.asarray(kbar, dtype=float)
     if kbar.shape != (m.n_boundary,):
@@ -100,13 +151,13 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
         if resid_inf < tol:
             return SolveResult(u_star=state, iterations=it,
                                residual_inf=resid_inf, converged=True)
-        # Newton direction: u <- u - Delta^{-1} resid, via LDL^T of -Delta
-        d = -factor_spd(-sparse_laplacian(m, state)).solve(resid)
+        # Newton direction: u <- u + (-Delta)^{-1} resid
+        d, cg_iterations, cg_residual = _newton_direction(m, state.u, resid)
         t = 1.0
         for backtracks in range(MAX_BACKTRACKS):
             # the kernel checks the trial; an inadmissible one, or one whose
             # radii overflow the kernel, halves the step
-            trial = ConformalState(u=state.u - t * d)
+            trial = ConformalState(u=state.u + t * d)
             try:
                 trial_resid = curvature(m, trial) - kbar
             except StateError:
@@ -116,7 +167,9 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
             if trial_inf <= (1.0 - t / 4.0) * resid_inf:
                 state, resid, resid_inf = trial, trial_resid, trial_inf
                 logger.debug("newton iteration %d: residual_inf=%.3e t=%g "
-                             "backtracks=%d", it + 1, resid_inf, t, backtracks)
+                             "backtracks=%d cg_iterations=%d cg_residual=%.3e",
+                             it + 1, resid_inf, t, backtracks, cg_iterations,
+                             cg_residual)
                 break
             t *= 0.5
         else:

@@ -240,12 +240,16 @@ class TestSolve:
 
     def test_indefinite_jacobian_exit_4(self, pants_file, tmp_path, caplog,
                                         monkeypatch):
-        # a Jacobian with the wrong sign reaches the factorization, which
-        # raises DefinitenessError; the CLI maps it to an exit code
+        # corner Jacobians with the wrong sign reach the per-face check,
+        # which raises DefinitenessError; the CLI maps it to an exit code
         solver = sys.modules["hexflow.solver"]
-        sparse_laplacian = solver.sparse_laplacian
-        monkeypatch.setattr(solver, "sparse_laplacian",
-                            lambda m, s: -sparse_laplacian(m, s))
+        hexagons = solver._hexagons
+
+        def negated(m, u, jacobian):
+            theta, jac = hexagons(m, u, jacobian)
+            return theta, -jac
+
+        monkeypatch.setattr(solver, "_hexagons", negated)
         target = write_json(tmp_path, "target.json", {"kbar": [1.0, 1.0, 1.0]})
         assert main(["solve", pants_file, "--target", target]) == 4
         assert "not positive definite" in caplog.text

@@ -1,8 +1,8 @@
 """Which scipy modules a fresh interpreter has loaded after each entry point.
 
-scipy is imported on first use, by sparse_laplacian and the Newton
-factorization only, so importing hexflow, the check, curvature and flow
-commands and the Ricci potential must leave it unloaded.
+scipy is imported on first use, by sparse_laplacian only, so importing
+hexflow, the check, curvature, solve and flow commands and the Ricci
+potential must leave it unloaded.
 """
 
 import json
@@ -45,17 +45,20 @@ CLI = "from hexflow.cli import main\nassert main({}) == 0"
     "import hexflow",
     CLI.format(["check", "mesh.json"]),
     CLI.format(["curvature", "mesh.json", "--state", "state.json"]),
+    CLI.format(["solve", "mesh.json", "--target", "target.json"]),
     CLI.format(["flow", "mesh.json", "--state", "state.json", "--target", "target.json",
                 "--kind", "ricci", "--tol", "1e-8", "--trace", "trace.csv"]),
     "import hexflow as hf\n"
     "m = hf.load_mesh('mesh.json')\n"
     "hf.ricci_potential(m, hf.validate_state(m, [-0.3, -0.5, -0.7]),\n"
     "                   hf.validate_state(m, [-0.6, -0.6, -0.6]), [2.0, 2.0, 2.0])",
-], ids=["import", "check", "curvature", "flow", "ricci_potential"])
+], ids=["import", "check", "curvature", "solve", "flow", "ricci_potential"])
 def test_no_scipy_loaded(code, files):
     assert scipy_modules_after(code, files) == []
 
 
-def test_solve_loads_sparse_linalg(files):
-    code = CLI.format(["solve", "mesh.json", "--target", "target.json"])
-    assert "scipy.sparse.linalg" in scipy_modules_after(code, files)
+def test_sparse_laplacian_loads_scipy_sparse(files):
+    code = ("import hexflow as hf\n"
+            "m = hf.load_mesh('mesh.json')\n"
+            "hf.sparse_laplacian(m, hf.validate_state(m, [-0.3, -0.5, -0.7]))")
+    assert "scipy.sparse" in scipy_modules_after(code, files)

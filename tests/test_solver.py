@@ -4,11 +4,12 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
 
 import hexflow as hf
-from hexflow.solver import factor_spd
-from conftest import sample_valid_states
+from hexflow.curvature import _hexagons
+from conftest import admissible_state, random_mesh
+
+solver = sys.modules["hexflow.solver"]
 
 
 @pytest.fixture
@@ -96,16 +97,30 @@ class TestNewtonSolve:
         assert len(lines) == res.iterations
         for it, line in enumerate(lines, 1):
             assert re.fullmatch(rf"newton iteration {it}: residual_inf=\S+ "
-                                rf"t=\S+ backtracks=\d+", line)
+                                rf"t=\S+ backtracks=\d+ cg_iterations=\d+ "
+                                rf"cg_residual=\S+", line)
         assert float(lines[-1].split("residual_inf=")[1].split()[0]) == pytest.approx(
             res.residual_inf, rel=1e-3)
+
+    def test_logs_cg_iterations_and_residual(self, caplog):
+        rng = np.random.default_rng(67)
+        m = random_mesh("grid4", rng)
+        caplog.set_level(logging.DEBUG, logger="hexflow.solver")
+        res = hf.newton_solve(m, None, hf.curvature(m, admissible_state(m, rng)),
+                              tol=1e-12)
+        lines = [r.getMessage() for r in caplog.records if r.name == "hexflow.solver"]
+        assert res.converged and len(lines) == res.iterations > 0
+        for line in lines:
+            iterations = int(re.search(r"cg_iterations=(\d+)", line)[1])
+            rel_residual = float(re.search(r"cg_residual=(\S+)", line)[1])
+            assert 1 < iterations < solver.CG_MAX_ITER
+            assert 0.0 < rel_residual <= solver.CG_RTOL
 
     def test_trials_checked_once(self, pants, monkeypatch):
         # the kernel inside curvature checks each backtracking trial, so
         # with an explicit start validate_state is never called; from this
         # start three of the trials toward kbar = 5 are inadmissible
         start = hf.default_start(pants)
-        solver = sys.modules["hexflow.solver"]
         calls = []
         validate_state = solver.validate_state
         monkeypatch.setattr(solver, "validate_state",
@@ -126,30 +141,63 @@ class TestNewtonSolve:
             hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]), tol=0.0)
 
 
-class TestFactorSpd:
-    @pytest.mark.parametrize("a", [
-        np.diag([1.0, -1.0]),                      # indefinite, diagonal pivots
-        np.array([[1.0, 2.0], [2.0, 1.0]]),        # indefinite, positive diagonal
-        np.array([[0.0, 1.0], [1.0, 0.0]]),        # zero diagonal: off-diagonal pivot
-        np.array([[1.0, 1.0], [1.0, 1.0]]),        # singular
-        np.zeros((3, 3)),                          # singular
-        np.array([[np.nan]]),
-    ])
-    def test_not_positive_definite(self, a):
-        with pytest.raises(hf.DefinitenessError):
-            factor_spd(csc_array(a))
+MESHES = ("pants", "torus", "grid3", "grid10")
+# admissible_state bands: interior, near the admissibility edge, large radii
+BANDS = ((0.05, 0.95), (0.9, 0.999), (0.001, 0.01))
 
-    def test_solves_spd_system(self):
-        rng = np.random.default_rng(41)
-        b = rng.normal(size=(6, 6))
-        a = b @ b.T + 6.0 * np.eye(6)
-        x = rng.normal(size=6)
-        assert np.allclose(factor_spd(csc_array(a)).solve(a @ x), x, rtol=1e-12)
 
-    def test_negated_laplacian_factors(self, pants, torus):
-        rng = np.random.default_rng(43)
-        for m in (pants, torus):
-            for s in sample_valid_states(m, 5, rng):
-                lu = factor_spd(-hf.sparse_laplacian(m, s))
-                r = rng.normal(size=m.n_boundary)
-                assert np.allclose(-hf.laplacian(m, s) @ lu.solve(r), r, rtol=1e-12)
+def solver_cases(name, seed):
+    """A random-weight mesh and, per band, two states and right-hand sides."""
+    rng = np.random.default_rng(seed)
+    m = random_mesh(name, rng)
+    for lo, hi in BANDS:
+        for _ in range(2):
+            yield m, admissible_state(m, rng, lo, hi), rng.normal(size=m.n_boundary)
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("name", MESHES)
+    def test_matches_dense_solve(self, name):
+        for m, s, r in solver_cases(name, 47):
+            d, iterations, rel_residual = solver._newton_direction(m, s.u, r)
+            # normwise: CG bounds |d - d*| by cond(-Delta) CG_RTOL |d*|
+            d_ref = np.linalg.solve(-hf.laplacian(m, s), r)
+            assert np.linalg.norm(d - d_ref) <= 1e-12 * np.linalg.norm(d_ref)
+            assert 1 <= iterations < solver.CG_MAX_ITER
+            assert rel_residual <= solver.CG_RTOL
+
+    @pytest.mark.parametrize("name", MESHES)
+    def test_face_blocks_pass_check(self, name):
+        for m, s, _r in solver_cases(name, 53):
+            _theta, jac = _hexagons(m, s.u, jacobian=True)
+            solver._check_face_blocks(jac)
+            assert np.all(np.linalg.eigvalsh(-jac)[:, 0] > 0.0)
+
+    @pytest.mark.parametrize("block", [
+        np.diag([1.0, -1.0, 1.0]),                                   # indefinite
+        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # indefinite
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # zero diagonal
+        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # singular
+        np.zeros((3, 3)),                                            # singular
+        np.full((3, 3), np.nan),
+        np.diag([1.0, 1.0, -1.0]),              # only the third minor fails
+    ], ids=["indefinite_diagonal", "indefinite", "zero_diagonal", "singular",
+            "zero", "nan", "third_minor"])
+    def test_bad_block_names_its_face(self, block):
+        rng = np.random.default_rng(59)
+        m = random_mesh("grid3", rng)
+        _theta, jac = _hexagons(m, admissible_state(m, rng).u, jacobian=True)
+        jac[7] = -block
+        with pytest.raises(hf.DefinitenessError,
+                           match="at face 7 is not positive definite"):
+            solver._check_face_blocks(jac)
+
+    def test_iteration_cap_ends_cg(self, monkeypatch):
+        # the cap returns CG's iterate; the backtracking test judges the step
+        m, s, r = next(solver_cases("grid10", 61))
+        monkeypatch.setattr(solver, "CG_MAX_ITER", 2)
+        d, iterations, rel_residual = solver._newton_direction(m, s.u, r)
+        assert iterations == 2
+        assert solver.CG_RTOL < rel_residual < 1.0
+        assert np.linalg.norm(-hf.laplacian(m, s) @ d - r) == pytest.approx(
+            rel_residual * np.linalg.norm(r), rel=1e-6)
