@@ -187,6 +187,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "flow" and args.kind == "frac" and args.s is None:
         parser.error("--kind frac requires --s")
+    if args.command == "flow" and args.kind != "frac" and args.s is not None:
+        parser.error("--s applies only to --kind frac")
     try:
         return args.func(args)
     except (OSError, FormatError) as exc:

@@ -4,8 +4,10 @@ K_i is the total boundary length at component i: the sum of the hexagon
 arc lengths at every face corner incident to i.  The discrete Laplacian
 Delta[i][j] = dK_i/du_j is symmetric and negative definite on the admissible
 space; `laplacian` returns it as a dense array and `sparse_laplacian` as a
-scipy CSC array with one stored entry per pair of components sharing a face,
-and `curvature_laplacian` returns K and the dense Delta from one kernel call.
+scipy CSC array with one stored entry per pair of components sharing a face.
+The flows and the Newton solver work on those stored entries directly:
+`_apply` multiplies Delta by a vector with one np.bincount over them, in the
+order of scipy's CSC product, so the two are bitwise equal.
 
 All are views of one batched face kernel: it gathers the radii through the
 mesh's face tables, computes every edge length, arc and (3, 3) corner
@@ -169,6 +171,26 @@ def _dense_laplacian(m: IdealTriangulation, data: np.ndarray) -> np.ndarray:
     return a
 
 
+def _apply(m: IdealTriangulation, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Delta v, for Delta with the stored entries data (see _laplacian_data)."""
+    p = m.laplacian_pattern
+    return np.bincount(p.indices, weights=data * v[p.col], minlength=m.n_boundary)
+
+
+def _gershgorin(m: IdealTriangulation, data: np.ndarray) -> float:
+    """The largest absolute row sum of Delta with the stored entries data, a
+    Gershgorin bound on the size of its eigenvalues."""
+    p = m.laplacian_pattern
+    return float(np.bincount(p.indices, weights=np.abs(data),
+                             minlength=m.n_boundary).max())
+
+
+def _diagonal(m: IdealTriangulation, data: np.ndarray) -> np.ndarray:
+    """The diagonal of Delta with the stored entries data."""
+    p = m.laplacian_pattern
+    return data[p.indices == p.col]   # one diagonal entry per column
+
+
 def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
     """Delta = dK/du as a scipy CSC array; same entries as `laplacian`."""
     from scipy.sparse import csc_array  # scipy loads on first use only
@@ -183,14 +205,6 @@ def laplacian(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Dense matrix dK_i/du_j, assembled from the per-face corner Jacobians."""
     _theta, jac = _hexagons(m, s.u, jacobian=True)
     return _dense_laplacian(m, _laplacian_data(m, jac))
-
-
-def curvature_laplacian(m: IdealTriangulation,
-                        s: ConformalState) -> tuple[np.ndarray, np.ndarray]:
-    """K and the dense Delta at s from one kernel call, bitwise equal to
-    curvature(m, s) and laplacian(m, s)."""
-    theta, jac = _hexagons(m, s.u, jacobian=True)
-    return _arc_sums(m, theta), _dense_laplacian(m, _laplacian_data(m, jac))
 
 
 def calabi_energy(k, kbar) -> float:

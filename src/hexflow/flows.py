@@ -9,7 +9,9 @@ Three flows on the conformal factors u:
 s = 0 reduces the fractional flow to the Ricci flow and s = 1 to the Calabi
 flow; both reductions are exact special cases in fractional_power.  For the
 Calabi and fractional flows K and Delta come from one call of the face
-kernel.
+kernel.  The Calabi flow multiplies by Delta with one scatter over its
+stored entries (curvature._apply); only the fractional flow builds the
+dense Delta, for the eigendecomposition.
 
 The integrator is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 section II.10), Prince and Dormand's explicit 8th-order Runge-Kutta method
@@ -57,8 +59,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DefinitenessError, StateError, StepCollapseError
-from .curvature import (_arc_sums, _dense_laplacian, _hexagons, _laplacian_data,
-                        calabi_energy, curvature, edge_lengths)
+from .curvature import (_apply, _arc_sums, _dense_laplacian, _gershgorin,
+                        _hexagons, _laplacian_data, calabi_energy, curvature,
+                        edge_lengths)
 from .mesh import ConformalState, IdealTriangulation
 
 logger = logging.getLogger(__name__)
@@ -182,8 +185,8 @@ class FlowConfig:
         self.kbar = np.asarray(self.kbar, dtype=float)
         if not np.all((self.kbar > 0) & np.isfinite(self.kbar)):
             raise ValueError("every target curvature entry must be positive and finite")
-        if not self.dt0 > 0:
-            raise ValueError("dt0 must be positive")
+        if not (self.dt0 > 0 and math.isfinite(self.dt0)):
+            raise ValueError("dt0 must be positive and finite")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_steps < 1:
@@ -258,8 +261,9 @@ def _evaluate(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig,
     with_bound is set, g at s (else None), from one kernel call.
 
     g is the largest absolute row sum of Delta, a Gershgorin bound on the
-    eigenvalues of -Delta, summed over the stored entries of Delta; only
-    the Calabi and fractional flows build the dense Delta, for du/dt."""
+    eigenvalues of -Delta, summed over the stored entries of Delta.  The
+    Calabi flow applies Delta by one scatter over those entries; only the
+    fractional flow builds the dense Delta, which eigh needs."""
     kind = cfg.kind
     if kind.name == "ricci" and not with_bound:
         k = curvature(m, s)
@@ -268,17 +272,12 @@ def _evaluate(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig,
     k = _arc_sums(m, theta)
     data = _laplacian_data(m, jac)
     resid = k - cfg.kbar
-    g = None
-    if with_bound:
-        p = m.laplacian_pattern
-        g = float(np.bincount(p.indices, weights=np.abs(data),
-                              minlength=m.n_boundary).max())
+    g = _gershgorin(m, data) if with_bound else None
     if kind.name == "ricci":
         return resid, k, g
-    lap = _dense_laplacian(m, data)
     if kind.name == "calabi":
-        return -lap @ resid, k, g
-    return -fractional_power(lap, kind.s) @ resid, k, g
+        return -_apply(m, data, resid), k, g
+    return -fractional_power(_dense_laplacian(m, data), kind.s) @ resid, k, g
 
 
 def rhs(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig) -> np.ndarray:
@@ -410,5 +409,5 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
             return state, trace, Status.CONVERGED
 
     if trace.rows[-1].step != step:
-        record(dt)
+        record(dt_used)
     return state, trace, Status.BUDGET_EXHAUSTED

@@ -18,13 +18,14 @@ component sits at some face corner, so the sum is positive for x != 0.
 The system is then solved without a factorization, by the conjugate-gradient
 method (Hestenes & Stiefel, J. Res. Nat. Bur. Standards 49, 1952)
 preconditioned with the diagonal of -Delta, whose matrix-vector product is
-one np.bincount over the stored entries of the face kernel.  CG stops once
-its residual is CG_RTOL times the right-hand side, or after CG_MAX_ITER
-iterations.  An inexact Newton step whose relative residual is bounded by a
-forcing term that tends to zero converges superlinearly, and quadratically
-when the forcing term is O(|K - Kbar|) (Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19, 1982); CG_RTOL is near rounding, so the step is Newton's
-to working accuracy, and the sufficient-decrease test still judges it.
+one np.bincount over the stored entries of the face kernel (curvature._apply,
+which the Calabi flow shares).  CG stops once its residual is CG_RTOL times
+the right-hand side, or after CG_MAX_ITER iterations.  An inexact Newton
+step whose relative residual is bounded by a forcing term that tends to
+zero converges superlinearly, and quadratically when the forcing term is
+O(|K - Kbar|) (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982);
+CG_RTOL is near rounding, so the step is Newton's to working accuracy, and
+the sufficient-decrease test still judges it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, NoDescentError, StateError
-from .curvature import _hexagons, _laplacian_data, curvature
+from .curvature import _apply, _diagonal, _hexagons, _laplacian_data, curvature
 from .mesh import ConformalState, IdealTriangulation, validate_state
 
 logger = logging.getLogger(__name__)
@@ -75,17 +76,11 @@ def _check_face_blocks(jac: np.ndarray) -> None:
 def _pcg(m: IdealTriangulation, a: np.ndarray,
          b: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Solve A x = b for the symmetric positive definite A whose stored
-    entries are a, in the CSC order of m.laplacian_pattern, by CG
+    entries are a, as _laplacian_data orders them, by CG
     preconditioned with the diagonal of A.  Returns x, the iteration count
     and the final relative residual |r| / |b| of the CG recurrence."""
-    p = m.laplacian_pattern
-    n = m.n_boundary
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return np.bincount(p.indices, weights=a * v[p.col], minlength=n)
-
-    inv_diag = 1.0 / a[p.indices == p.col]   # one diagonal entry per column
-    x = np.zeros(n)
+    inv_diag = 1.0 / _diagonal(m, a)
+    x = np.zeros(m.n_boundary)
     r = b.copy()
     z = inv_diag * r
     d = z
@@ -94,7 +89,7 @@ def _pcg(m: IdealTriangulation, a: np.ndarray,
     r_norm = b_norm
     it = 0
     while r_norm > CG_RTOL * b_norm and it < CG_MAX_ITER:
-        q = matvec(d)
+        q = _apply(m, a, d)
         alpha = rz / (d @ q)
         x += alpha * d
         r -= alpha * q

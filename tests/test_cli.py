@@ -145,6 +145,16 @@ class TestFlow:
             main(args)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kind", ["ricci", "calabi"])
+    def test_order_without_frac_exit_2(self, pants_file, r1_state_file, tmp_path,
+                                       kind, capsys):
+        args, _, _ = self.flow_args(pants_file, r1_state_file, tmp_path,
+                                    [2.0] * 3, kind=kind, s=0.5)
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--s" in capsys.readouterr().err
+
     @pytest.mark.parametrize("s", [2.0, -1.0, "nan"])
     def test_frac_order_out_of_range_exit_2(self, pants_file, r1_state_file, tmp_path, s):
         args, _, _ = self.flow_args(pants_file, r1_state_file, tmp_path,

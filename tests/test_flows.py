@@ -45,8 +45,9 @@ class TestFlowKind:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 ricci_cfg(np.array([bad, 1.0, 1.0]))
-        with pytest.raises(ValueError, match="dt0"):
-            ricci_cfg(np.array([1.0]), dt0=0.0)
+        for bad in (0.0, np.inf):
+            with pytest.raises(ValueError, match="dt0"):
+                ricci_cfg(np.array([1.0]), dt0=bad)
         with pytest.raises(ValueError, match="max_steps"):
             ricci_cfg(np.array([1.0]), max_steps=0)
 
@@ -194,6 +195,22 @@ class TestIntegrate:
         assert trace.rows[-1].step == 3
         hf.validate_state(pants, final.u)  # partial result still admissible
 
+    def test_budget_row_records_dt_used(self):
+        # the budget ran out between sampled rows: the row written at the
+        # last step carries the dt that step took, as with trace_every=1
+        m = hf.parse_mesh(json.dumps(torus_grid_doc(3, np.full(27, 2.0))))
+        kbar = hf.curvature(m, admissible_state(m, np.random.default_rng(5), 0.3, 0.6))
+        rows = {}
+        for every in (1, 2):
+            _, trace, status = hf.integrate(m, hf.default_start(m),
+                                            ricci_cfg(kbar, max_steps=3,
+                                                      trace_every=every))
+            assert status is hf.Status.BUDGET_EXHAUSTED
+            rows[every] = trace.rows
+        assert [row.step for row in rows[2]] == [0, 2, 3]
+        assert rows[2][-1] == rows[1][-1]
+        assert rows[2][-1].dt == pytest.approx(rows[1][3].t - rows[1][2].t, rel=1e-12)
+
     def test_fractional_local_convergence(self, pants, pants_r1):
         kbar = hf.curvature(pants, pants_r1)
         start = hf.validate_state(pants, pants_r1.u + 1e-2 * np.array([1.0, -1.0, 0.0]))
@@ -306,3 +323,23 @@ def test_converges_at_default_tol(name, kind):
     final, _, status = hf.integrate(m, hf.default_start(m), cfg)
     assert status is hf.Status.CONVERGED
     assert np.max(np.abs(final.u - target.u)) < 1e-8
+
+
+def test_only_fractional_builds_dense_laplacian(monkeypatch):
+    # the Ricci bound and the Calabi right-hand side use the stored entries
+    # of Delta; only the eigendecomposition of the fractional flow needs the
+    # dense matrix
+    def dense(*args):
+        raise AssertionError("dense Delta built")
+
+    monkeypatch.setattr(flows, "_dense_laplacian", dense)
+    rng = np.random.default_rng(0)
+    m = random_mesh("grid3", rng)
+    kbar = hf.curvature(m, admissible_state(m, rng, 0.3, 0.9))
+    for kind in (hf.FlowKind.ricci(), hf.FlowKind.calabi()):
+        cfg = hf.FlowConfig(kind=kind, kbar=kbar, tol=1e-8)
+        _, _, status = hf.integrate(m, hf.default_start(m), cfg)
+        assert status is hf.Status.CONVERGED
+    cfg = hf.FlowConfig(kind=hf.FlowKind.fractional(0.5), kbar=kbar, tol=1e-8)
+    with pytest.raises(AssertionError, match="dense Delta built"):
+        hf.integrate(m, hf.default_start(m), cfg)

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hexflow as hf
-from hexflow.curvature import curvature_laplacian
 from conftest import (PANTS_DOC, admissible_state, disjoint_union, random_mesh,
                       reference_curvature, reference_laplacian)
 
@@ -87,19 +86,24 @@ def test_kernel_matches_scalar_reference(name, seed):
     assert np.array_equal(hf.laplacian(m, again), a)
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", [3, 4, 5, 6, "pants", "torus"])
 def test_fused_call_bitwise_equal_to_separate_calls(n):
-    rng = np.random.default_rng(n)
-    m = random_mesh(f"grid{n}", rng)
+    # the Calabi right-hand side scatters the stored entries of Delta in
+    # the column order of scipy's CSC product, so the two agree bitwise; on
+    # the pants and the torus repeated corners sum several Jacobian entries
+    # into one stored entry
+    if isinstance(n, int):
+        rng = np.random.default_rng(n)
+        m = random_mesh(f"grid{n}", rng)
+    else:
+        rng = np.random.default_rng(len(n))
+        m = random_mesh(n, rng)
     kbar = rng.uniform(0.5, 2.0, m.n_boundary)
     cfg = hf.FlowConfig(kind=hf.FlowKind.calabi(), kbar=kbar)
     for _ in range(4):
         s = admissible_state(m, rng)
-        k, a = curvature_laplacian(m, s)
-        assert np.array_equal(k, hf.curvature(m, s))
-        assert np.array_equal(a, hf.laplacian(m, s))
         assert np.array_equal(hf.rhs(m, s, cfg),
-                              -hf.laplacian(m, s) @ (hf.curvature(m, s) - kbar))
+                              -(hf.sparse_laplacian(m, s) @ (hf.curvature(m, s) - kbar)))
 
 
 def test_grid_laplacian_negative_definite():
@@ -173,7 +177,6 @@ EVALUATORS = {
     "curvature": hf.curvature,
     "laplacian": hf.laplacian,
     "sparse_laplacian": hf.sparse_laplacian,
-    "curvature_laplacian": curvature_laplacian,
     "edge_lengths": hf.edge_lengths,
 }
 
