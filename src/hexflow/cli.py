@@ -69,11 +69,10 @@ def cmd_check(args) -> int:
     except (OSError, FormatError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    phis = [e.phi for e in m.edges]
-    print(f"N={m.n_boundary} E={len(m.edges)} F={len(m.faces)} "
+    phi = m.phi
+    print(f"N={m.n_boundary} E={len(phi)} F={len(m.vertex)} "
           f"chi={euler_characteristic(m)}")
-    print(f"phi: min={min(phis):g} max={max(phis):g} "
-          f"mean={sum(phis) / len(phis):g}")
+    print(f"phi: min={phi.min():g} max={phi.max():g} mean={phi.mean():g}")
     return EXIT_OK
 
 

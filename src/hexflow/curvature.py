@@ -10,7 +10,7 @@ The flows and the Newton solver work on those stored entries directly:
 order of scipy's CSC product, so the two are bitwise equal.
 
 All are views of one batched face kernel: it gathers the radii through the
-mesh's face tables, computes every edge length, arc and (3, 3) corner
+mesh's index arrays, computes every edge length, arc and (3, 3) corner
 Jacobian d theta / d u with numpy, and sums them with np.bincount.  The sums
 run in a fixed order (face index ascending, corner slot ascending), so
 identical inputs give bitwise-identical outputs, and Delta is exactly
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import StateError
 from .hexgeom import radii
-from .mesh import ConformalState, FaceTables, IdealTriangulation, check_admissible
+from .mesh import ConformalState, IdealTriangulation, check_admissible
 
 if TYPE_CHECKING:
     from scipy.sparse import csc_array
@@ -73,17 +73,17 @@ def _read_state(m: IdealTriangulation, u: np.ndarray) -> np.ndarray:
     return radii(u)
 
 
-def _edge_cosh(t: FaceTables, r: np.ndarray) -> np.ndarray:
-    """cosh of every edge length of the tables t at the radii r, in edge order.
+def _edge_cosh(m: IdealTriangulation, r: np.ndarray) -> np.ndarray:
+    """cosh of every edge length of m at the radii r, in edge order.
 
     Greater than 1 at admissible radii, which _read_state has checked; an
     overflow gives inf or NaN, so callers run it under np.errstate and test
     their result with _require_finite.
     """
     sh, ch = np.sinh(r), np.cosh(r)
-    i, j = t.ends[:, 0], t.ends[:, 1]
+    i, j = m.ends[:, 0], m.ends[:, 1]
     # grouped as in hexgeom.admissibility, so exactly symmetric in (r_i, r_j)
-    return t.cosh_phi * (sh[i] * sh[j]) - ch[i] * ch[j]
+    return m.cosh_phi * (sh[i] * sh[j]) - ch[i] * ch[j]
 
 
 def _require_finite(total: float, r: np.ndarray) -> None:
@@ -100,14 +100,14 @@ def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
 
     theta[f, k] is the arc at corner k of face f, opposite side k.
     """
-    t, r = m.tables, _read_state(m, u)
+    r = _read_state(m, u)
     # products of cosh l and cosh r overflow once the radii of a face reach
     # about 120, far past the radius (about 40) where the arcs underflow;
     # _require_finite turns the resulting inf and NaN into a StateError
     with np.errstate(all="ignore"):
-        x = _edge_cosh(t, r)
-        cl, cl_next, cl_prev = x[t.sides]               # cosh l, each (F, 3)
-        sl, sl_next, sl_prev = _sinh_acosh(x)[t.sides]  # sinh l
+        x = _edge_cosh(m, r)
+        cl, cl_next, cl_prev = x[m.sides]               # cosh l, each (F, 3)
+        sl, sl_next, sl_prev = _sinh_acosh(x)[m.sides]  # sinh l
         # q = sinh l_{k+1} sinh l_{k+2} sinh theta_k is the same at every
         # corner and equals sqrt(sum cosh^2 l + 2 prod cosh l - 1), a sum of
         # positive terms; sinh theta = sqrt(cosh^2 theta - 1) would lose
@@ -124,7 +124,7 @@ def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
             dtheta_dl = -ct[:, _OTHER]
             dtheta_dl[:, _DIAG, _DIAG] = 1.0
             dtheta_dl *= (sl / q[:, None])[:, :, None]
-            cr = np.cosh(r)[t.vertex]                   # cosh r at each corner
+            cr = np.cosh(r)[m.vertex]                   # cosh r at each corner
             dl_du = (cr[:, _OTHER] + cr[:, None, :] * cl[:, :, None]) / sl[:, :, None]
             dl_du[:, _DIAG, _DIAG] = 0.0                # side k misses corner k
             jac = dtheta_dl @ dl_du
@@ -135,10 +135,10 @@ def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
 
 
 def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
-    """Length of every edge at the state s, in m.edges order."""
+    """Length of every edge at the state s, in the edge order of the mesh file."""
     r = _read_state(m, s.u)
     with np.errstate(all="ignore"):
-        x = _edge_cosh(m.tables, r)
+        x = _edge_cosh(m, r)
         lengths = np.log(x + _sinh_acosh(x))
     _require_finite(lengths.sum(), r)
     return lengths
@@ -146,7 +146,7 @@ def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
 
 def _arc_sums(m: IdealTriangulation, theta: np.ndarray) -> np.ndarray:
     """K: the arcs theta of the face kernel summed at each component."""
-    return np.bincount(m.tables.vertex.ravel(), weights=theta.ravel(),
+    return np.bincount(m.vertex.ravel(), weights=theta.ravel(),
                        minlength=m.n_boundary)
 
 

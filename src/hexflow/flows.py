@@ -187,8 +187,8 @@ class FlowConfig:
             raise ValueError("every target curvature entry must be positive and finite")
         if not (self.dt0 > 0 and math.isfinite(self.dt0)):
             raise ValueError("dt0 must be positive and finite")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.trace_every < 1:
@@ -310,7 +310,10 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     is exhausted.  Returns the final state, the sampled trace and the status.
 
     Each rejected attempt is logged at DEBUG on the hexflow.flows logger and
-    counted in the trace by cause."""
+    counted in the trace by cause.  Raises ValueError unless cfg.kbar has
+    one entry per boundary component of m."""
+    if cfg.kbar.shape != (m.n_boundary,):
+        raise ValueError(f"target has {cfg.kbar.size} entries, mesh has {m.n_boundary}")
     monotone = cfg.kind.name in ("ricci", "calabi")
     # the flow linearized at u* is du/dt = -(-Delta)^power (u - u*)
     if cfg.kind.name == "fractional":

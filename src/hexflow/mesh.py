@@ -11,7 +11,13 @@ opposite_vertices[k] is the boundary component at the corner opposite
 edges[k].  The bound phi <= 700 (hexgeom.RADIUS_MAX) keeps cosh(phi)
 finite.  Self-loop edges and repeated vertices per face are allowed (the
 one-holed torus needs both), so corners are stored explicitly rather than
-inferred from edge endpoints.  Internally indices are 0-based.
+inferred from edge endpoints.  Edge ids are any integers, of any size.
+
+In memory a mesh is held once, as the read-only arrays that the face
+kernel in curvature reads, with 0-based indices.  IdealTriangulation checks
+them with array operations, each naming its first offender in file order.
+m.edges and m.faces, tuples of Edge and Face objects, are views built on
+first use; nothing in hexflow reads them.
 
 A state file is { "u": [float, ...] } or { "r": [float, ...] } with exactly
 one of the two keys present; radii are converted on load.
@@ -19,10 +25,9 @@ one of the two keys present; radii are converted on load.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,22 +50,6 @@ class Face:
 
 
 @dataclass(frozen=True)
-class FaceTables:
-    """Index arrays of a mesh for the batched face kernel in curvature.
-
-    Slot k of face f is its corner k together with the side opposite it;
-    sides[0] lists the side of every slot, and sides[1] and sides[2] the
-    sides of slots k + 1 and k + 2 (mod 3), the two that meet at corner k.
-    """
-
-    sides: np.ndarray     # (3, F, 3) position in m.edges of the side at slots k, k+1, k+2
-    vertex: np.ndarray    # (F, 3) boundary component at each corner
-    ends: np.ndarray      # (E, 2) endpoints of each edge
-    phi: np.ndarray       # (E,) edge weights
-    cosh_phi: np.ndarray  # (E,)
-
-
-@dataclass(frozen=True)
 class LaplacianPattern:
     """Where the corner Jacobians of a mesh land in Delta.
 
@@ -76,109 +65,165 @@ class LaplacianPattern:
     col: np.ndarray       # (nnz,) column of each stored entry
 
 
-def _read_only(tables):
-    for a in vars(tables).values():
-        if isinstance(a, np.ndarray):
-            a.setflags(write=False)
-    return tables
+_ARRAYS = ("ids", "ends", "phi", "vertex", "sides")
 
 
-@dataclass(frozen=True)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _require(cond: bool, msg: str, *args) -> None:
+    # msg.format(*args) runs only on failure: the entry loops call this
+    # several times per entry
+    if not cond:
+        raise FormatError(msg.format(*args))
+
+
+def _int_array(values) -> np.ndarray:
+    """values as int64, or as Python ints if one lies past int64, so that a
+    failed check reports it exactly as written."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _first_fault(*checks: np.ndarray) -> tuple[int, int] | None:
+    """The first item that fails one of checks, masks over the same items,
+    and the first check it fails, as (item, check); None if none fails."""
+    failed = np.array(checks).T
+    return divmod(int(np.argmax(failed)), len(checks)) if failed.any() else None
+
+
+@dataclass(frozen=True, eq=False)
 class IdealTriangulation:
-    """Validated ideal triangulation; immutable after construction."""
+    """Validated ideal triangulation; immutable after construction.
+
+    Built from a mesh file's values, 0-based, with face_edges (F, 3) giving
+    the edge ids of each face.  Slot k of face f is its corner k together
+    with the side opposite it; sides[0] holds the side of every slot as a
+    position in the edge arrays, and sides[1] and sides[2] the sides of
+    slots k + 1 and k + 2 (mod 3), the two that meet at corner k.
+    """
 
     n_boundary: int
-    edges: tuple[Edge, ...]
-    faces: tuple[Face, ...]
+    ids: np.ndarray       # (E,) file id of each edge (Python ints if one is past int64)
+    ends: np.ndarray      # (E, 2) endpoints of each edge
+    phi: np.ndarray       # (E,) edge weights
+    vertex: np.ndarray    # (F, 3) boundary component at each corner
+    face_edges: InitVar[list]
+    sides: np.ndarray = field(init=False)  # (3, F, 3)
 
-    def __post_init__(self):
+    def __post_init__(self, face_edges):
         n = self.n_boundary
-        if n < 1:
-            raise FormatError("n_boundary must be >= 1")
-        if not self.faces:
-            raise FormatError("mesh must have at least one face")
-        seen_ids = set()
-        for e in self.edges:
-            if e.id in seen_ids:
-                raise FormatError(f"duplicate edge id {e.id}")
-            seen_ids.add(e.id)
-            for v in e.ends:
-                if not 0 <= v < n:
-                    raise FormatError(f"edge {e.id} endpoint {v + 1} out of range 1..{n}")
-            if not 0.0 < e.phi <= RADIUS_MAX:  # also false for NaN
-                raise FormatError(f"edge {e.id} weight must be positive and at most "
-                                  f"{RADIUS_MAX:g}, got {e.phi!r}")
-        by_id = {e.id: e for e in self.edges}
+        _require(n >= 1, "n_boundary must be >= 1")
+        _require(len(face_edges) > 0, "mesh must have at least one face")
+        ids, fe, vertex = map(_int_array, (self.ids, face_edges, self.vertex))
+        ends, phi = _int_array(self.ends).reshape(-1, 2), np.array(self.phi, dtype=float)
 
-        side_count: dict[int, int] = {e.id: 0 for e in self.edges}
-        corner_vertices = set()
-        for fi, f in enumerate(self.faces):
-            if len(set(f.edges)) != 3:
-                raise FormatError(f"face {fi} must reference 3 distinct edge ids, "
-                                  f"got {f.edges}")
-            for k in range(3):
-                if f.edges[k] not in by_id:
-                    raise FormatError(f"face {fi} references undefined edge id "
-                                      f"{f.edges[k]} (slot {k})")
-                side_count[f.edges[k]] += 1
-            for k in range(3):
-                v = f.opposite[k]
-                if not 0 <= v < n:
-                    raise FormatError(f"face {fi} corner {k} vertex {v + 1} "
-                                      f"out of range 1..{n}")
-                # the corner opposite edge k must lie on the two adjacent edges
-                for adj in (f.edges[(k + 1) % 3], f.edges[(k + 2) % 3]):
-                    if v not in by_id[adj].ends:
-                        raise FormatError(
-                            f"corner inconsistency in face {fi}, slot {k}: vertex "
-                            f"{v + 1} is not an endpoint of edge {adj}")
-                corner_vertices.add(v)
-        for eid, c in side_count.items():
-            if c == 0:
-                raise FormatError(f"edge {eid} is not referenced by any face")
-            if c != 2:
-                raise FormatError(f"edge {eid} appears in {c} face-corner slots, "
-                                  f"expected exactly 2 (closed gluing)")
-        # every corner vertex is in range, so they cover all n components
-        # exactly when there are n of them; the count keeps a huge declared
-        # n_boundary from costing time and memory before it is rejected
-        missing = n - len(corner_vertices)
+        # each edge in turn: its id repeats an earlier one, endpoint 0 or 1 is
+        # out of range, its weight is outside (0, RADIUS_MAX] (NaN included)
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        repeat = np.zeros(ids.size, dtype=bool)
+        repeat[order[1:]] = sorted_ids[1:] == sorted_ids[:-1]
+        fault = _first_fault(repeat, *((ends < 0) | (ends >= n)).T,
+                             ~((phi > 0.0) & (phi <= RADIUS_MAX)))
+        if fault:
+            e, check = fault
+            if check == 0:
+                raise FormatError(f"duplicate edge id {ids[e]}")
+            if check < 3:
+                raise FormatError(f"edge {ids[e]} endpoint {int(ends[e, check - 1]) + 1} "
+                                  f"out of range 1..{n}")
+            raise FormatError(f"edge {ids[e]} weight must be positive and at most "
+                              f"{RADIUS_MAX:g}, got {float(phi[e])!r}")
+
+        # each face in turn: its edge ids repeat, or slot 0, 1 or 2 names no
+        # edge; then each slot k of the faces before the first such face:
+        # its corner is out of range, or is no end of side k + 1 or k + 2
+        pos = np.searchsorted(sorted_ids, fe)
+        defined = pos < ids.size
+        defined[defined] = sorted_ids[pos[defined]] == fe[defined]
+        a, b, c = fe.T
+        face_fault = _first_fault((a == b) | (b == c) | (a == c), *~defined.T)
+        nf = face_fault[0] if face_fault else len(fe)
+        side, corner = order[pos[:nf]], vertex[:nf]
+        out = (corner < 0) | (corner >= n)
+        off = [(ends[side[:, s]] != corner[:, :, None]).all(axis=2)
+               for s in ([1, 2, 0], [2, 0, 1])]
+        fault = _first_fault(*(mask[:, k] for k in range(3) for mask in (out, *off)))
+        if fault:
+            f, (k, check) = fault[0], divmod(fault[1], 3)
+            v = int(vertex[f, k]) + 1
+            if check == 0:
+                raise FormatError(f"face {f} corner {k} vertex {v} out of range 1..{n}")
+            raise FormatError(f"corner inconsistency in face {f}, slot {k}: vertex {v} "
+                              f"is not an endpoint of edge {fe[f, (k + check) % 3]}")
+        if face_fault:
+            f, check = face_fault
+            if check == 0:
+                raise FormatError(f"face {f} must reference 3 distinct edge ids, "
+                                  f"got {tuple(fe[f].tolist())}")
+            raise FormatError(f"face {f} references undefined edge id "
+                              f"{fe[f, check - 1]} (slot {check - 1})")
+
+        count = np.bincount(side.ravel(), minlength=ids.size)
+        if (count != 2).any():
+            e = int(np.argmax(count != 2))
+            if count[e] == 0:
+                raise FormatError(f"edge {ids[e]} is not referenced by any face")
+            raise FormatError(f"edge {ids[e]} appears in {count[e]} face-corner slots, "
+                              f"expected exactly 2 (closed gluing)")
+        # every corner is in range, so they cover all n components exactly
+        # when n of them are distinct; the missing ones are listed from the
+        # smallest candidates, so a huge declared n_boundary costs nothing
+        corners = np.sort(vertex, axis=None, kind="stable")
+        distinct = 1 + int(np.count_nonzero(corners[1:] != corners[:-1]))
+        missing = n - distinct
         if missing:
-            first = list(itertools.islice(
-                (v + 1 for v in range(n) if v not in corner_vertices), 10))
-            listed = ", ".join(map(str, first)) + (", ..." if missing > 10 else "")
-            raise FormatError(f"{missing} boundary components appear in no face "
-                              f"corner: {listed}")
+            candidates = np.arange(min(n, distinct + 10))
+            first = (candidates[~np.isin(candidates, corners)][:10] + 1).tolist()
+            raise FormatError(f"{missing} boundary components appear in no face corner: "
+                              + ", ".join(map(str, first)) + (", ..." if missing > 10 else ""))
+
+        # every index is now below n <= 3F, so it fits an intp
+        sides = np.array([side, side[:, [1, 2, 0]], side[:, [2, 0, 1]]])
+        for name, value in zip(_ARRAYS, (ids, ends.astype(np.intp), phi,
+                                         vertex.astype(np.intp), sides)):
+            object.__setattr__(self, name, _frozen(value))
+
+    def __eq__(self, other):
+        return (isinstance(other, IdealTriangulation) and self.n_boundary == other.n_boundary
+                and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS))
 
     @cached_property
-    def edge_by_id(self) -> dict[int, Edge]:
-        return {e.id: e for e in self.edges}
+    def cosh_phi(self) -> np.ndarray:
+        return _frozen(np.cosh(self.phi))
 
     @cached_property
-    def tables(self) -> FaceTables:
-        """Built on first use, so that parsing and checking a mesh skip it."""
-        position = {e.id: k for k, e in enumerate(self.edges)}
-        edge = np.array([[position[i] for i in f.edges] for f in self.faces], dtype=np.intp)
-        phi = np.array([e.phi for e in self.edges])
-        return _read_only(FaceTables(
-            sides=np.array([edge, edge[:, [1, 2, 0]], edge[:, [2, 0, 1]]]),
-            vertex=np.array([f.opposite for f in self.faces], dtype=np.intp),
-            ends=np.array([e.ends for e in self.edges], dtype=np.intp),
-            phi=phi, cosh_phi=np.cosh(phi)))
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(Edge(id=i, ends=tuple(e), phi=p) for i, e, p in
+                     zip(self.ids.tolist(), self.ends.tolist(), self.phi.tolist()))
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        return tuple(Face(edges=tuple(e), opposite=tuple(v)) for e, v in
+                     zip(self.ids[self.sides[0]].tolist(), self.vertex.tolist()))
 
     @cached_property
     def laplacian_pattern(self) -> LaplacianPattern:
         """Built on first use, so that evaluating K alone skips it."""
         n = self.n_boundary
-        vertex = self.tables.vertex
+        vertex = self.vertex
         # key col * n + row of entry (f, a, b), whose row is corner a and
         # column corner b; sorted keys are CSC order
         keys = (vertex[:, None, :] * n + vertex[:, :, None]).ravel()
         stored, slot = np.unique(keys, return_inverse=True)
         col = stored // n
-        return _read_only(LaplacianPattern(
-            slot=slot, indptr=np.searchsorted(col, np.arange(n + 1)),
-            indices=stored % n, col=col))
+        return LaplacianPattern(*map(_frozen, (
+            slot, np.searchsorted(col, np.arange(n + 1)), stored % n, col)))
 
 
 @dataclass(frozen=True)
@@ -191,13 +236,11 @@ class ConformalState:
     u: np.ndarray
 
     def __post_init__(self):
-        self.u.setflags(write=False)
+        _frozen(self.u)
 
     @cached_property
     def r(self) -> np.ndarray:
-        r = radii(self.u)
-        r.setflags(write=False)
-        return r
+        return _frozen(radii(self.u))
 
 
 def check_admissible(m: IdealTriangulation, u: np.ndarray) -> None:
@@ -214,13 +257,11 @@ def check_admissible(m: IdealTriangulation, u: np.ndarray) -> None:
     if not (u.max() < 0 and u.min() > -math.inf):
         i = int(np.argmin(np.isfinite(u) & (u < 0)))
         raise StateError(f"u[{i}] = {float(u[i])!r} violates u < 0")
-    t = m.tables
-    slack = u[t.ends[:, 0]] + u[t.ends[:, 1]] + t.phi
+    slack = u[m.ends[:, 0]] + u[m.ends[:, 1]] + m.phi
     if not slack.min() > ADMISSIBILITY_MARGIN:
         k = int(np.argmin(slack > ADMISSIBILITY_MARGIN))
-        e = m.edges[k]
-        i, j = e.ends
-        raise StateError(f"edge {e.id} constraint u_{i + 1} + u_{j + 1} > "
+        i, j = m.ends[k]
+        raise StateError(f"edge {m.ids[k]} constraint u_{i + 1} + u_{j + 1} > "
                          f"-phi violated (slack {float(slack[k]):.3e})")
 
 
@@ -238,12 +279,7 @@ def state_from_radii(m: IdealTriangulation, r) -> ConformalState:
 
 def euler_characteristic(m: IdealTriangulation) -> int:
     """N - |E| + |F| of the coned surface."""
-    return m.n_boundary - len(m.edges) + len(m.faces)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise FormatError(msg)
+    return m.n_boundary - len(m.phi) + len(m.vertex)
 
 
 def _is_int_list(v, length: int) -> bool:
@@ -262,51 +298,54 @@ def parse_mesh(text: str | bytes) -> IdealTriangulation:
                           f"column {exc.colno}: {exc.msg}") from exc
     _require(isinstance(doc, dict), "mesh document must be a JSON object")
     for key in ("n_boundary", "edges", "faces"):
-        _require(key in doc, f"mesh document missing key {key!r}")
+        _require(key in doc, "mesh document missing key {!r}", key)
     n = doc["n_boundary"]
     _require(type(n) is int, "n_boundary must be an integer")
     _require(isinstance(doc["edges"], list), "edges must be a list")
     _require(isinstance(doc["faces"], list), "faces must be a list")
 
-    edges = []
+    ids, ends, phis = [], [], []
     for idx, e in enumerate(doc["edges"]):
-        _require(isinstance(e, dict), f"edge entry {idx} must be an object")
+        _require(isinstance(e, dict), "edge entry {} must be an object", idx)
         for key in ("id", "ends", "phi"):
-            _require(key in e, f"edge entry {idx} missing key {key!r}")
-        _require(type(e["id"]) is int, f"edge entry {idx}: id must be an integer")
-        ends = e["ends"]
-        _require(_is_int_list(ends, 2), f"edge entry {idx}: ends must be a pair of integers")
+            _require(key in e, "edge entry {} missing key {!r}", idx, key)
+        _require(type(e["id"]) is int, "edge entry {}: id must be an integer", idx)
+        pair = e["ends"]
+        _require(_is_int_list(pair, 2), "edge entry {}: ends must be a pair of integers", idx)
         _require(isinstance(e["phi"], (int, float)) and not isinstance(e["phi"], bool),
-                 f"edge entry {idx}: phi must be a number")
+                 "edge entry {}: phi must be a number", idx)
         try:
             phi = float(e["phi"])
         except OverflowError:  # an integer too large for a float
             phi = math.inf if e["phi"] > 0 else -math.inf
-        edges.append(Edge(id=e["id"], ends=(ends[0] - 1, ends[1] - 1), phi=phi))
+        ids.append(e["id"])
+        ends.append((pair[0] - 1, pair[1] - 1))
+        phis.append(phi)
 
-    faces = []
+    face_edges, vertex = [], []
     for idx, f in enumerate(doc["faces"]):
-        _require(isinstance(f, dict), f"face entry {idx} must be an object")
+        _require(isinstance(f, dict), "face entry {} must be an object", idx)
         for key in ("edges", "opposite_vertices"):
-            _require(key in f, f"face entry {idx} missing key {key!r}")
+            _require(key in f, "face entry {} missing key {!r}", idx, key)
         fe, fo = f["edges"], f["opposite_vertices"]
-        _require(_is_int_list(fe, 3), f"face entry {idx}: edges must be a triple of edge ids")
+        _require(_is_int_list(fe, 3), "face entry {}: edges must be a triple of edge ids", idx)
         _require(_is_int_list(fo, 3),
-                 f"face entry {idx}: opposite_vertices must be a triple of integers")
-        faces.append(Face(edges=tuple(fe), opposite=tuple(v - 1 for v in fo)))
+                 "face entry {}: opposite_vertices must be a triple of integers", idx)
+        face_edges.append(fe)
+        vertex.append((fo[0] - 1, fo[1] - 1, fo[2] - 1))
 
-    return IdealTriangulation(n_boundary=n, edges=tuple(edges), faces=tuple(faces))
+    return IdealTriangulation(n_boundary=n, ids=ids, ends=ends, phi=phis,
+                              vertex=vertex, face_edges=face_edges)
 
 
 def serialize_mesh(m: IdealTriangulation) -> str:
     """Inverse of parse_mesh on the combinatorial content."""
     doc = {
         "n_boundary": m.n_boundary,
-        "edges": [{"id": e.id, "ends": [e.ends[0] + 1, e.ends[1] + 1], "phi": e.phi}
-                  for e in m.edges],
-        "faces": [{"edges": list(f.edges),
-                   "opposite_vertices": [v + 1 for v in f.opposite]}
-                  for f in m.faces],
+        "edges": [{"id": i, "ends": e, "phi": p} for i, e, p in
+                  zip(m.ids.tolist(), (m.ends + 1).tolist(), m.phi.tolist())],
+        "faces": [{"edges": e, "opposite_vertices": v} for e, v in
+                  zip(m.ids[m.sides[0]].tolist(), (m.vertex + 1).tolist())],
     }
     return json.dumps(doc, indent=2)
 
@@ -334,13 +373,13 @@ def parse_keyed_vector(text: str | bytes, what: str,
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what} JSON syntax error at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from exc
-    _require(isinstance(doc, dict), f"{what} document must be a JSON object")
+    _require(isinstance(doc, dict), "{} document must be a JSON object", what)
     present = [k for k in keys if k in doc]
     _require(len(present) == 1,
-             f'{what} document must contain exactly one of "{keys[0]}" or "{keys[1]}"')
+             '{} document must contain exactly one of "{}" or "{}"', what, *keys)
     values = doc[present[0]]
     _require(isinstance(values, list) and all(type(v) is float for v in values),
-             f"{what} key {present[0]!r} must be a list of numbers")
+             "{} key {!r} must be a list of numbers", what, present[0])
     return present[0], np.array(values, dtype=float)
 
 

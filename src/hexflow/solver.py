@@ -31,6 +31,7 @@ the sufficient-decrease test still judges it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ def _newton_direction(m: IdealTriangulation, u: np.ndarray,
 def default_start(m: IdealTriangulation) -> ConformalState:
     """Uniform interior point u = -min(1, min(phi)/4); every edge slack is
     then phi - 2 min(1, phi/4) > 0."""
-    c = -min(1.0, float(m.tables.phi.min()) / 4.0)
+    c = -min(1.0, float(m.phi.min()) / 4.0)
     return validate_state(m, np.full(m.n_boundary, c))
 
 
@@ -135,8 +136,10 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
         raise ValueError(f"target has {kbar.size} entries, mesh has {m.n_boundary}")
     if not np.all((kbar > 0) & np.isfinite(kbar)):
         raise ValueError("every target entry must be positive and finite")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
 
     state = s0 if s0 is not None else default_start(m)
     resid = curvature(m, state) - kbar

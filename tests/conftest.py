@@ -179,10 +179,11 @@ def reference_curvature(m, s):
 def reference_laplacian(m, s):
     """Dense Delta by a loop over faces of hexgeom.corner_jacobian."""
     r = [hf.from_conformal(x) for x in s.u]
+    phi = {e.id: e.phi for e in m.edges}
     a = np.zeros((m.n_boundary, m.n_boundary))
     for f in m.faces:
         jac = hf.corner_jacobian(tuple(r[v] for v in f.opposite),
-                                 tuple(m.edge_by_id[eid].phi for eid in f.edges))
+                                 tuple(phi[eid] for eid in f.edges))
         for p in range(3):
             for q in range(3):
                 a[f.opposite[p], f.opposite[q]] += jac[p, q]

@@ -197,6 +197,21 @@ class TestFlow:
         assert "positive and finite" in caplog.text
 
 
+    def test_infinite_tol_exit_2(self, pants_file, r1_state_file, tmp_path, caplog):
+        # with tol = inf the flow would report convergence at step 0
+        args, _, _ = self.flow_args(pants_file, r1_state_file, tmp_path,
+                                    [5.0, 1.0, 3.0], tol="inf")
+        assert main(args) == 2
+        assert "tol must be positive and finite" in caplog.text
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_target_length_exit_2(self, pants_file, r1_state_file, tmp_path, caplog,
+                                  size):
+        args, _, _ = self.flow_args(pants_file, r1_state_file, tmp_path, [2.0] * size)
+        assert main(args) == 2
+        assert f"target has {size} entries, mesh has 3" in caplog.text
+
+
 class TestSolve:
     def test_arbitrary_target(self, pants_file, tmp_path):
         target = write_json(tmp_path, "target.json", {"kbar": [0.5, 1.0, 3.0]})
@@ -242,6 +257,16 @@ class TestSolve:
         target = tmp_path / "target.json"
         target.write_text(text)
         assert main(["solve", pants_file, "--target", str(target)]) == 2
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tol", "inf", "tol must be positive and finite"),
+        ("--max-iter", "-1", "max_iter must be >= 0"),
+    ], ids=["tol_inf", "max_iter_negative"])
+    def test_bad_iteration_setting_exit_2(self, pants_file, tmp_path, caplog,
+                                          flag, value, message):
+        target = write_json(tmp_path, "target.json", {"kbar": [5.0, 1.0, 3.0]})
+        assert main(["solve", pants_file, "--target", target, flag, value]) == 2
         assert message in caplog.text
 
     def test_torus_default_start(self, torus_file, tmp_path):

@@ -50,6 +50,9 @@ class TestFlowKind:
                 ricci_cfg(np.array([1.0]), dt0=bad)
         with pytest.raises(ValueError, match="max_steps"):
             ricci_cfg(np.array([1.0]), max_steps=0)
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                ricci_cfg(np.array([1.0]), tol=bad)
 
 
 class TestFractionalPower:
@@ -165,6 +168,15 @@ class TestIntegrate:
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
         potentials = [row.ricci_potential_delta for row in trace.rows]
         assert all(b <= a + 1e-9 for a, b in zip(potentials, potentials[1:]))
+
+    @pytest.mark.parametrize("kind", [hf.FlowKind.ricci(), hf.FlowKind.calabi(),
+                                      hf.FlowKind.fractional(0.5)],
+                             ids=["ricci", "calabi", "fractional"])
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_target_length_checked_first(self, pants, pants_r1, kind, size):
+        cfg = hf.FlowConfig(kind=kind, kbar=np.full(size, 2.0))
+        with pytest.raises(ValueError, match=f"^target has {size} entries, mesh has 3$"):
+            hf.integrate(pants, pants_r1, cfg)
 
     def test_interior_preservation(self, pants, pants_r1):
         kbar = hf.curvature(pants, pants_r1)
