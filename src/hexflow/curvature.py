@@ -9,13 +9,13 @@ The flows and the Newton solver work on those stored entries directly:
 `_apply` multiplies Delta by a vector with one np.bincount over them, in the
 order of scipy's CSC product, so the two are bitwise equal.
 
-All are views of one batched face kernel: it gathers the radii through the
-mesh's index arrays, computes every edge length, arc and (3, 3) corner
-Jacobian d theta / d u with numpy, and sums them with np.bincount.  The sums
-run in a fixed order (face index ascending, corner slot ascending), so
-identical inputs give bitwise-identical outputs, and Delta is exactly
-symmetric.  The scalar functions in hexgeom are the reference it is tested
-against.
+All are views of one batched face kernel, _hexagons: it gathers the radii
+through the mesh's index arrays, computes every edge length, arc and (3, 3)
+corner Jacobian d theta / d u with numpy, and sums them with np.bincount into
+K and, when asked, the stored entries of Delta.  The sums run in a fixed
+order (face index ascending, corner slot ascending), so identical inputs give
+bitwise-identical outputs, and Delta is exactly symmetric.  The scalar
+functions in hexgeom are the reference it is tested against.
 
 Where it reads its input the kernel runs mesh.check_admissible, the one
 admissibility test, so a state built directly as ConformalState(u=...) is
@@ -63,20 +63,10 @@ def _sinh_acosh(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
 
 
-def _read_state(m: IdealTriangulation, u: np.ndarray) -> np.ndarray:
-    """The radii of the kernel's input u, one state of shape (N,).
-
-    Raises StateError unless u is admissible, before the radii are
-    computed, so radii never sees a u >= 0.
-    """
-    check_admissible(m, u)
-    return radii(u)
-
-
 def _edge_cosh(m: IdealTriangulation, r: np.ndarray) -> np.ndarray:
     """cosh of every edge length of m at the radii r, in edge order.
 
-    Greater than 1 at admissible radii, which _read_state has checked; an
+    Greater than 1 at admissible radii, which its callers have checked; an
     overflow gives inf or NaN, so callers run it under np.errstate and test
     their result with _require_finite.
     """
@@ -94,13 +84,20 @@ def _require_finite(total: float, r: np.ndarray) -> None:
 
 
 def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
-    """The face kernel at the state u: arcs theta (F, 3), and with
-    `jacobian` also the corner Jacobians d theta_a / d u_b (F, 3, 3),
-    symmetrized.
+    """The face kernel at the state u: K, and with `jacobian` the tuple
+    (K, data, jac) of K, the stored entries data of Delta in the CSC order
+    of m.laplacian_pattern, and the symmetrized corner Jacobians
+    jac[f, a, b] = d theta_a / d u_b (F, 3, 3) that data sums.
 
-    theta[f, k] is the arc at corner k of face f, opposite side k.
+    theta[f, k] is the arc at corner k of face f, opposite side k.  u is
+    checked by mesh.check_admissible before the radii are computed, so
+    radii never sees a u >= 0.
     """
-    r = _read_state(m, u)
+    check_admissible(m, u)
+    r = radii(u)
+    # the pattern is built on first use: before the temporaries below exist,
+    # so that building it does not raise the kernel's peak memory
+    p = m.laplacian_pattern if jacobian else None
     # products of cosh l and cosh r overflow once the radii of a face reach
     # about 120, far past the radius (about 40) where the arcs underflow;
     # _require_finite turns the resulting inf and NaN into a StateError
@@ -131,12 +128,16 @@ def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
             jac = 0.5 * (jac + jac.transpose(0, 2, 1))
             total += jac.sum()
     _require_finite(total, r)
-    return (theta, jac) if jacobian else theta
+    k = np.bincount(m.vertex.ravel(), weights=theta.ravel(), minlength=m.n_boundary)
+    if not jacobian:
+        return k
+    return k, np.bincount(p.slot, weights=jac.ravel(), minlength=p.indices.size), jac
 
 
 def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Length of every edge at the state s, in the edge order of the mesh file."""
-    r = _read_state(m, s.u)
+    check_admissible(m, s.u)
+    r = radii(s.u)
     with np.errstate(all="ignore"):
         x = _edge_cosh(m, r)
         lengths = np.log(x + _sinh_acosh(x))
@@ -144,26 +145,13 @@ def edge_lengths(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     return lengths
 
 
-def _arc_sums(m: IdealTriangulation, theta: np.ndarray) -> np.ndarray:
-    """K: the arcs theta of the face kernel summed at each component."""
-    return np.bincount(m.vertex.ravel(), weights=theta.ravel(),
-                       minlength=m.n_boundary)
-
-
 def curvature(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Generalized curvature K (boundary lengths), one entry per component."""
-    return _arc_sums(m, _hexagons(m, s.u, jacobian=False))
-
-
-def _laplacian_data(m: IdealTriangulation, jac: np.ndarray) -> np.ndarray:
-    """Stored entries of Delta in the CSC order of m.laplacian_pattern, from
-    the corner Jacobians jac of the face kernel."""
-    p = m.laplacian_pattern
-    return np.bincount(p.slot, weights=jac.ravel(), minlength=p.indices.size)
+    return _hexagons(m, s.u, jacobian=False)
 
 
 def _dense_laplacian(m: IdealTriangulation, data: np.ndarray) -> np.ndarray:
-    """Dense Delta from its stored entries data (see _laplacian_data)."""
+    """Dense Delta from its stored entries data (see _hexagons)."""
     p = m.laplacian_pattern
     n = m.n_boundary
     a = np.zeros((n, n))
@@ -172,23 +160,9 @@ def _dense_laplacian(m: IdealTriangulation, data: np.ndarray) -> np.ndarray:
 
 
 def _apply(m: IdealTriangulation, data: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Delta v, for Delta with the stored entries data (see _laplacian_data)."""
+    """Delta v, for Delta with the stored entries data (see _hexagons)."""
     p = m.laplacian_pattern
     return np.bincount(p.indices, weights=data * v[p.col], minlength=m.n_boundary)
-
-
-def _gershgorin(m: IdealTriangulation, data: np.ndarray) -> float:
-    """The largest absolute row sum of Delta with the stored entries data, a
-    Gershgorin bound on the size of its eigenvalues."""
-    p = m.laplacian_pattern
-    return float(np.bincount(p.indices, weights=np.abs(data),
-                             minlength=m.n_boundary).max())
-
-
-def _diagonal(m: IdealTriangulation, data: np.ndarray) -> np.ndarray:
-    """The diagonal of Delta with the stored entries data."""
-    p = m.laplacian_pattern
-    return data[p.indices == p.col]   # one diagonal entry per column
 
 
 def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
@@ -197,14 +171,21 @@ def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
 
     p = m.laplacian_pattern
     n = m.n_boundary
-    _theta, jac = _hexagons(m, s.u, jacobian=True)
-    return csc_array((_laplacian_data(m, jac), p.indices, p.indptr), shape=(n, n))
+    return csc_array((_hexagons(m, s.u, jacobian=True)[1], p.indices, p.indptr),
+                     shape=(n, n))
 
 
 def laplacian(m: IdealTriangulation, s: ConformalState) -> np.ndarray:
     """Dense matrix dK_i/du_j, assembled from the per-face corner Jacobians."""
-    _theta, jac = _hexagons(m, s.u, jacobian=True)
-    return _dense_laplacian(m, _laplacian_data(m, jac))
+    return _dense_laplacian(m, _hexagons(m, s.u, jacobian=True)[1])
+
+
+def _check_target(m: IdealTriangulation, kbar: np.ndarray) -> None:
+    """Raise ValueError unless the target kbar has shape (N,), one entry per
+    boundary component of m."""
+    if kbar.shape != (m.n_boundary,):
+        size = f"{kbar.size} entries" if kbar.ndim == 1 else f"shape {kbar.shape}"
+        raise ValueError(f"target has {size}, mesh has {m.n_boundary}")
 
 
 def calabi_energy(k, kbar) -> float:
@@ -239,9 +220,11 @@ def ricci_potential(m: IdealTriangulation, s: ConformalState, s0: ConformalState
     differ by more than _GL_TOL per unit length (times the integrand's size
     where that exceeds 1) is bisected, and the GL32 values of the accepted
     pieces are summed.  The result is within POTENTIAL_ABS_TOL of the exact
-    integral.
+    integral.  Raises ValueError unless kbar has one entry per boundary
+    component of m.
     """
     kbar = np.asarray(kbar, dtype=float)
+    _check_target(m, kbar)
     d = s.u - s0.u
     if not d.any():
         return 0.0

@@ -30,15 +30,17 @@ largest absolute row sum of Delta, a Gershgorin bound on the eigenvalues of
 -Delta, and p = 1 (Ricci), 2 (Calabi) or 1 + s (fractional).  Without the
 cap, dt would settle where the stiffest mode of u - u* neither decays nor
 grows, and the residual would stall at a size set by STEP_ERROR_TOL.  The
-first trial step is FlowConfig.dt0, uncapped.
+first trial step is DT0, uncapped.
 
 An attempt is rejected and dt halved when the face kernel raises StateError
 at a stage or at the new state (it left the admissible space, or its radii
-overflow the kernel), or when the Calabi energy increases (Ricci/Calabi
-kinds); the kernel's own check is the only admissibility test of a stage.
-The continuous flows provably stay interior and decrease the energy, so
-persistent rejection signals a bug and raises StepCollapseError after 60
-consecutive rejections.
+overflow the kernel), or when the Calabi energy E = |K - Kbar|^2 / 2
+increases; the kernel's own check is the only admissibility test of a
+stage.  Every kind decreases E: with r = K - Kbar, dE/dt = r . Delta du/dt
+= -r . (-Delta)^(1+s) r < 0, for s = 0 (Ricci), s = 1 (Calabi) and every
+fractional order between.  The continuous flows also provably stay
+interior, so persistent rejection signals a bug and raises StepCollapseError
+after 60 consecutive rejections.
 
 The Ricci potential Phi, whose gradient is -(K - Kbar), is carried as one
 more component of the ODE: dPhi/dt = -(K - Kbar) . du/dt at every stage,
@@ -59,13 +61,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DefinitenessError, StateError, StepCollapseError
-from .curvature import (_apply, _arc_sums, _dense_laplacian, _gershgorin,
-                        _hexagons, _laplacian_data, calabi_energy, curvature,
-                        edge_lengths)
+from .curvature import (_apply, _check_target, _dense_laplacian, _hexagons,
+                        calabi_energy, curvature, edge_lengths)
 from .mesh import ConformalState, IdealTriangulation
 
 logger = logging.getLogger(__name__)
 
+DT0 = 0.01                  # first trial step; the stability cap applies from step 2
 STEP_ERROR_TOL = 1e-10      # per-component absolute tolerance on the error estimate
 ENERGY_SLACK = 1e-12        # allowed Calabi-energy increase on a step
 MAX_HALVINGS = 60           # consecutive rejections before StepCollapseError
@@ -176,7 +178,6 @@ class FlowKind:
 class FlowConfig:
     kind: FlowKind
     kbar: np.ndarray
-    dt0: float = 0.01         # first trial step; the stability cap applies from step 2
     tol: float = 1e-10
     max_steps: int = 200_000
     trace_every: int = 10
@@ -185,8 +186,6 @@ class FlowConfig:
         self.kbar = np.asarray(self.kbar, dtype=float)
         if not np.all((self.kbar > 0) & np.isfinite(self.kbar)):
             raise ValueError("every target curvature entry must be positive and finite")
-        if not (self.dt0 > 0 and math.isfinite(self.dt0)):
-            raise ValueError("dt0 must be positive and finite")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         if self.max_steps < 1:
@@ -268,11 +267,13 @@ def _evaluate(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig,
     if kind.name == "ricci" and not with_bound:
         k = curvature(m, s)
         return k - cfg.kbar, k, None
-    theta, jac = _hexagons(m, s.u, jacobian=True)
-    k = _arc_sums(m, theta)
-    data = _laplacian_data(m, jac)
+    k, data, _jac = _hexagons(m, s.u, jacobian=True)
     resid = k - cfg.kbar
-    g = _gershgorin(m, data) if with_bound else None
+    g = None
+    if with_bound:
+        p = m.laplacian_pattern
+        g = float(np.bincount(p.indices, weights=np.abs(data),
+                              minlength=m.n_boundary).max())
     if kind.name == "ricci":
         return resid, k, g
     if kind.name == "calabi":
@@ -312,9 +313,7 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     Each rejected attempt is logged at DEBUG on the hexflow.flows logger and
     counted in the trace by cause.  Raises ValueError unless cfg.kbar has
     one entry per boundary component of m."""
-    if cfg.kbar.shape != (m.n_boundary,):
-        raise ValueError(f"target has {cfg.kbar.size} entries, mesh has {m.n_boundary}")
-    monotone = cfg.kind.name in ("ricci", "calabi")
+    _check_target(m, cfg.kbar)
     # the flow linearized at u* is du/dt = -(-Delta)^power (u - u*)
     if cfg.kind.name == "fractional":
         power = 1.0 + cfg.kind.s
@@ -331,7 +330,7 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     resid_inf = float(np.max(np.abs(k - cfg.kbar)))
     energy = calabi_energy(k, cfg.kbar)
     t = 0.0
-    dt = cfg.dt0
+    dt = DT0
     step = 0
 
     def record(dt_used: float) -> None:
@@ -380,7 +379,7 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
                        _step_factor(err))
                 continue
             new_energy = calabi_energy(new_k, cfg.kbar)
-            if monotone and new_energy > energy + ENERGY_SLACK:
+            if new_energy > energy + ENERGY_SLACK:
                 trace.rejected_energy += 1
                 reject("energy", f"Calabi energy {energy!r} -> {new_energy!r}")
                 continue

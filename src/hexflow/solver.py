@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, NoDescentError, StateError
-from .curvature import _apply, _diagonal, _hexagons, _laplacian_data, curvature
+from .curvature import _apply, _check_target, _hexagons, curvature
 from .mesh import ConformalState, IdealTriangulation, validate_state
 
 logger = logging.getLogger(__name__)
@@ -77,10 +77,12 @@ def _check_face_blocks(jac: np.ndarray) -> None:
 def _pcg(m: IdealTriangulation, a: np.ndarray,
          b: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Solve A x = b for the symmetric positive definite A whose stored
-    entries are a, as _laplacian_data orders them, by CG
-    preconditioned with the diagonal of A.  Returns x, the iteration count
-    and the final relative residual |r| / |b| of the CG recurrence."""
-    inv_diag = 1.0 / _diagonal(m, a)
+    entries are a, in the order the face kernel (curvature._hexagons)
+    returns them, by CG preconditioned with the diagonal of A.  Returns x,
+    the iteration count and the final relative residual |r| / |b| of the CG
+    recurrence."""
+    p = m.laplacian_pattern
+    inv_diag = 1.0 / a[p.indices == p.col]   # one diagonal entry per column
     x = np.zeros(m.n_boundary)
     r = b.copy()
     z = inv_diag * r
@@ -108,9 +110,9 @@ def _newton_direction(m: IdealTriangulation, u: np.ndarray,
     """The solution d of -Delta(u) d = resid, with the CG iteration count
     and relative residual, from one face-kernel call at u.  Raises
     DefinitenessError when a face block of -Delta is not positive definite."""
-    _theta, jac = _hexagons(m, u, jacobian=True)
+    _k, data, jac = _hexagons(m, u, jacobian=True)
     _check_face_blocks(jac)
-    return _pcg(m, -_laplacian_data(m, jac), resid)
+    return _pcg(m, -data, resid)
 
 
 def default_start(m: IdealTriangulation) -> ConformalState:
@@ -132,8 +134,7 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
     has lost its accuracy.
     """
     kbar = np.asarray(kbar, dtype=float)
-    if kbar.shape != (m.n_boundary,):
-        raise ValueError(f"target has {kbar.size} entries, mesh has {m.n_boundary}")
+    _check_target(m, kbar)
     if not np.all((kbar > 0) & np.isfinite(kbar)):
         raise ValueError("every target entry must be positive and finite")
     if not (tol > 0 and math.isfinite(tol)):

@@ -281,8 +281,8 @@ class TestSolve:
         hexagons = solver._hexagons
 
         def negated(m, u, jacobian):
-            theta, jac = hexagons(m, u, jacobian)
-            return theta, -jac
+            k, data, jac = hexagons(m, u, jacobian)
+            return k, data, -jac
 
         monkeypatch.setattr(solver, "_hexagons", negated)
         target = write_json(tmp_path, "target.json", {"kbar": [1.0, 1.0, 1.0]})

@@ -112,6 +112,18 @@ class TestRicciPotential:
     def test_zero_at_anchor(self, pants, pants_r1):
         assert hf.ricci_potential(pants, pants_r1, pants_r1, self.KBAR) == 0.0
 
+    @pytest.mark.parametrize("kbar,message", [
+        ([2.0], "target has 1 entries, mesh has 3"),
+        ([2.0, 2.0], "target has 2 entries, mesh has 3"),
+        ([[2.0, 2.0, 2.0]], r"target has shape \(1, 3\), mesh has 3"),
+        (2.0, r"target has shape \(\), mesh has 3"),
+    ], ids=["one", "two", "row", "scalar"])
+    def test_target_shape_checked(self, pants, pants_r1, kbar, message):
+        # a target that numpy would broadcast against K is refused too
+        s0 = hf.validate_state(pants, [-0.7, -0.7, -0.7])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hf.ricci_potential(pants, pants_r1, s0, kbar)
+
     def test_gradient_is_negative_residual(self, pants, pants_r1):
         rng = np.random.default_rng(31)
         h = 1e-4

@@ -45,9 +45,6 @@ class TestFlowKind:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 ricci_cfg(np.array([bad, 1.0, 1.0]))
-        for bad in (0.0, np.inf):
-            with pytest.raises(ValueError, match="dt0"):
-                ricci_cfg(np.array([1.0]), dt0=bad)
         with pytest.raises(ValueError, match="max_steps"):
             ricci_cfg(np.array([1.0]), max_steps=0)
         for bad in (0.0, np.inf, np.nan):
@@ -178,6 +175,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=f"^target has {size} entries, mesh has 3$"):
             hf.integrate(pants, pants_r1, cfg)
 
+    def test_target_shape_named(self, pants, pants_r1):
+        cfg = ricci_cfg(np.full((1, 3), 2.0))
+        with pytest.raises(ValueError, match=r"^target has shape \(1, 3\), mesh has 3$"):
+            hf.integrate(pants, pants_r1, cfg)
+
     def test_interior_preservation(self, pants, pants_r1):
         kbar = hf.curvature(pants, pants_r1)
         start = self.perturbed(pants, pants_r1)
@@ -264,11 +266,30 @@ class TestIntegrate:
         assert trace.rhs_evals == 1 + 12 * (steps + trace.rejected_error
                                             + trace.rejected_energy)
 
-    def test_large_dt0_rejects_inadmissible_stages(self, pants, pants_r1, caplog):
+    def test_ricci_stages_evaluated_through_module_curvature(self, pants, pants_r1,
+                                                            monkeypatch):
+        # the benchmark counts the calls of flows.curvature: the Ricci flow's
+        # first evaluation and the 11 inner stages of every attempt (the
+        # stage at the new state also needs Delta, for the stability cap)
         kbar = hf.curvature(pants, pants_r1)
+        calls = []
+        curvature = flows.curvature
+        monkeypatch.setattr(flows, "curvature",
+                            lambda m, s: calls.append(1) or curvature(m, s))
+        _, trace, status = hf.integrate(pants, self.perturbed(pants, pants_r1),
+                                        ricci_cfg(kbar, tol=1e-10))
+        assert status is hf.Status.CONVERGED
+        assert trace.rejected_inadmissible == 0
+        attempts = trace.rows[-1].step + trace.rejected_error + trace.rejected_energy
+        assert len(calls) == 1 + 11 * attempts
+
+    def test_large_dt0_rejects_inadmissible_stages(self, pants, pants_r1, caplog,
+                                                   monkeypatch):
+        kbar = hf.curvature(pants, pants_r1)
+        monkeypatch.setattr(flows, "DT0", 50.0)
         with caplog.at_level(logging.DEBUG, logger="hexflow.flows"):
             final, trace, status = hf.integrate(pants, self.perturbed(pants, pants_r1),
-                                                ricci_cfg(kbar, tol=1e-10, dt0=50.0))
+                                                ricci_cfg(kbar, tol=1e-10))
         assert status is hf.Status.CONVERGED
         assert np.max(np.abs(final.u - pants_r1.u)) < 1e-8
         assert trace.rejected_inadmissible >= 1
@@ -278,13 +299,18 @@ class TestIntegrate:
                                + trace.rejected_energy)
         assert sum("(inadmissible)" in msg for msg in logged) == trace.rejected_inadmissible
 
-    def test_step_collapse(self, pants, pants_r1, monkeypatch):
+    @pytest.mark.parametrize("kind", [hf.FlowKind.ricci(), hf.FlowKind.calabi(),
+                                      hf.FlowKind.fractional(0.5)],
+                             ids=["ricci", "calabi", "fractional"])
+    def test_step_collapse(self, pants, pants_r1, monkeypatch, kind):
+        # every kind rejects a step that raises the Calabi energy
         kbar = hf.curvature(pants, pants_r1)
         rising = itertools.count()
         monkeypatch.setattr(flows, "calabi_energy", lambda k, kbar: float(next(rising)))
         with pytest.raises(hf.StepCollapseError,
                            match=f"{flows.MAX_HALVINGS} consecutive rejections"):
-            hf.integrate(pants, self.perturbed(pants, pants_r1), ricci_cfg(kbar))
+            hf.integrate(pants, self.perturbed(pants, pants_r1),
+                         hf.FlowConfig(kind=kind, kbar=kbar))
 
 
 @pytest.mark.parametrize("kind", [hf.FlowKind.ricci(), hf.FlowKind.calabi(),

@@ -129,6 +129,27 @@ class TestNewtonSolve:
         assert res.converged and res.iterations > 0
         assert calls == []
 
+    def test_states_evaluated_through_module_curvature(self, pants, caplog,
+                                                       monkeypatch):
+        # the benchmark counts the calls of solver.curvature: the start, then
+        # one per trial state, accepted, inadmissible or without decrease
+        calls = []
+        curvature = solver.curvature
+        monkeypatch.setattr(solver, "curvature",
+                            lambda m, s: calls.append(1) or curvature(m, s))
+        caplog.set_level(logging.DEBUG, logger="hexflow.solver")
+        res = hf.newton_solve(pants, hf.default_start(pants), np.full(3, 5.0),
+                              tol=1e-12)
+        backtracks = [int(re.search(r"backtracks=(\d+)", r.getMessage())[1])
+                      for r in caplog.records if r.name == "hexflow.solver"]
+        assert res.converged and len(backtracks) == res.iterations > 0
+        assert sum(backtracks) > 0
+        assert len(calls) == 1 + res.iterations + sum(backtracks)
+
+    def test_target_shape_named(self, pants, pants_r1):
+        with pytest.raises(ValueError, match=r"^target has shape \(1, 3\), mesh has 3$"):
+            hf.newton_solve(pants, pants_r1, np.full((1, 3), 2.0))
+
     def test_precondition_errors(self, pants, pants_r1):
         with pytest.raises(ValueError):
             hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0]))
@@ -172,7 +193,7 @@ class TestNewtonDirection:
     @pytest.mark.parametrize("name", MESHES)
     def test_face_blocks_pass_check(self, name):
         for m, s, _r in solver_cases(name, 53):
-            _theta, jac = _hexagons(m, s.u, jacobian=True)
+            _k, _data, jac = _hexagons(m, s.u, jacobian=True)
             solver._check_face_blocks(jac)
             assert np.all(np.linalg.eigvalsh(-jac)[:, 0] > 0.0)
 
@@ -189,7 +210,7 @@ class TestNewtonDirection:
     def test_bad_block_names_its_face(self, block):
         rng = np.random.default_rng(59)
         m = random_mesh("grid3", rng)
-        _theta, jac = _hexagons(m, admissible_state(m, rng).u, jacobian=True)
+        _k, _data, jac = _hexagons(m, admissible_state(m, rng).u, jacobian=True)
         jac[7] = -block
         with pytest.raises(hf.DefinitenessError,
                            match="at face 7 is not positive definite"):
