@@ -13,6 +13,11 @@ finite.  Self-loop edges and repeated vertices per face are allowed (the
 one-holed torus needs both), so corners are stored explicitly rather than
 inferred from edge endpoints.  Edge ids are any integers, of any size.
 
+parse_mesh checks the JSON shape of the entries one column at a time (every
+id, then every ends pair, ...), each test one C-level pass, and converts
+each column straight to an array.  Only when a column test fails does it
+walk the entries, edges then faces, to name the first offender.
+
 In memory a mesh is held once, as the read-only arrays that the face
 kernel in curvature reads, with 0-based indices.  IdealTriangulation checks
 them with array operations, each naming its first offender in file order.
@@ -29,6 +34,8 @@ import json
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -202,15 +209,16 @@ class IdealTriangulation:
     def cosh_phi(self) -> np.ndarray:
         return _frozen(np.cosh(self.phi))
 
+    # zip(*a.T.tolist()) gives the rows of a as tuples
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(Edge(id=i, ends=tuple(e), phi=p) for i, e, p in
-                     zip(self.ids.tolist(), self.ends.tolist(), self.phi.tolist()))
+        return tuple(map(Edge, self.ids.tolist(), zip(*self.ends.T.tolist()),
+                         self.phi.tolist()))
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        return tuple(Face(edges=tuple(e), opposite=tuple(v)) for e, v in
-                     zip(self.ids[self.sides[0]].tolist(), self.vertex.tolist()))
+        return tuple(map(Face, zip(*self.ids[self.sides[0]].T.tolist()),
+                         zip(*self.vertex.T.tolist())))
 
     @cached_property
     def laplacian_pattern(self) -> LaplacianPattern:
@@ -287,55 +295,104 @@ def _is_int_list(v, length: int) -> bool:
     return type(v) is list and len(v) == length and all(type(x) is int for x in v)
 
 
-def parse_mesh(text: str | bytes) -> IdealTriangulation:
-    """Parse and fully validate a mesh file."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"mesh JSON syntax error at line {exc.lineno} "
-                          f"column {exc.colno}: {exc.msg}") from exc
-    _require(isinstance(doc, dict), "mesh document must be a JSON object")
-    for key in ("n_boundary", "edges", "faces"):
-        _require(key in doc, "mesh document missing key {!r}", key)
-    n = doc["n_boundary"]
-    _require(type(n) is int, "n_boundary must be an integer")
-    _require(isinstance(doc["edges"], list), "edges must be a list")
-    _require(isinstance(doc["faces"], list), "faces must be a list")
+def _int_rows(column: list, width: int) -> np.ndarray | None:
+    """column, whose every item passes _is_int_list(item, width), as an
+    (n, width) _int_array; None if an item fails.  Each test is one C-level
+    pass over the items or their members."""
+    if not (set(map(type, column)) <= {list} and set(map(len, column)) <= {width}):
+        return None
+    members = list(chain.from_iterable(column))
+    if not set(map(type, members)) <= {int}:
+        return None
+    return _int_array(members).reshape(-1, width)
 
-    ids, ends, phis = [], [], []
-    for idx, e in enumerate(doc["edges"]):
+
+def _raise_entry_fault(edges: list, faces: list) -> NoReturn:
+    """Raise the FormatError of the first edge entry, then face entry, whose
+    JSON shape is wrong, checking each entry in the order of its fields.
+
+    parse_mesh tests the shape one column at a time and walks the entries
+    only after a column test has failed, to name the first offender.
+    """
+    for idx, e in enumerate(edges):
         _require(isinstance(e, dict), "edge entry {} must be an object", idx)
         for key in ("id", "ends", "phi"):
             _require(key in e, "edge entry {} missing key {!r}", idx, key)
         _require(type(e["id"]) is int, "edge entry {}: id must be an integer", idx)
-        pair = e["ends"]
-        _require(_is_int_list(pair, 2), "edge entry {}: ends must be a pair of integers", idx)
-        _require(isinstance(e["phi"], (int, float)) and not isinstance(e["phi"], bool),
-                 "edge entry {}: phi must be a number", idx)
-        try:
-            phi = float(e["phi"])
-        except OverflowError:  # an integer too large for a float
-            phi = math.inf if e["phi"] > 0 else -math.inf
-        ids.append(e["id"])
-        ends.append((pair[0] - 1, pair[1] - 1))
-        phis.append(phi)
-
-    face_edges, vertex = [], []
-    for idx, f in enumerate(doc["faces"]):
+        _require(_is_int_list(e["ends"], 2),
+                 "edge entry {}: ends must be a pair of integers", idx)
+        _require(type(e["phi"]) in (int, float), "edge entry {}: phi must be a number", idx)
+    for idx, f in enumerate(faces):
         _require(isinstance(f, dict), "face entry {} must be an object", idx)
         for key in ("edges", "opposite_vertices"):
             _require(key in f, "face entry {} missing key {!r}", idx, key)
-        fe, fo = f["edges"], f["opposite_vertices"]
-        _require(_is_int_list(fe, 3), "face entry {}: edges must be a triple of edge ids", idx)
-        _require(_is_int_list(fo, 3),
+        _require(_is_int_list(f["edges"], 3),
+                 "face entry {}: edges must be a triple of edge ids", idx)
+        _require(_is_int_list(f["opposite_vertices"], 3),
                  "face entry {}: opposite_vertices must be a triple of integers", idx)
-        face_edges.append(fe)
-        vertex.append((fo[0] - 1, fo[1] - 1, fo[2] - 1))
+    raise AssertionError("a column shape test failed, but no entry's test did")
 
-    return IdealTriangulation(n_boundary=n, ids=ids, ends=ends, phi=phis,
-                              vertex=vertex, face_edges=face_edges)
+
+def _less_one(a: np.ndarray) -> np.ndarray:
+    """a - 1, 1-based to 0-based, for an _int_array a; an int64 minimum
+    becomes a Python int first, so that it does not wrap."""
+    if a.dtype != object and a.size and a.min() == -2 ** 63:
+        a = a.astype(object)
+    return a - 1
+
+
+def _float(v: int | float) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # an integer too large for a float
+        return math.inf if v > 0 else -math.inf
+
+
+def _float_array(values: list) -> np.ndarray:
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array(list(map(_float, values)))
+
+
+def _load_json(text: str | bytes, what: str, **options):
+    """json.loads(text, **options); a FormatError names `what` if it fails."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        return json.loads(text, **options)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} JSON syntax error at line {exc.lineno} "
+                          f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the recursion limit
+        raise FormatError(f"{what} JSON nested too deeply") from exc
+
+
+def parse_mesh(text: str | bytes) -> IdealTriangulation:
+    """Parse and fully validate a mesh file."""
+    doc = _load_json(text, "mesh")
+    _require(isinstance(doc, dict), "mesh document must be a JSON object")
+    for key in ("n_boundary", "edges", "faces"):
+        _require(key in doc, "mesh document missing key {!r}", key)
+    n, edges, faces = doc["n_boundary"], doc["edges"], doc["faces"]
+    _require(type(n) is int, "n_boundary must be an integer")
+    _require(isinstance(edges, list), "edges must be a list")
+    _require(isinstance(faces, list), "faces must be a list")
+
+    try:
+        ids, ends, phi = ([e[key] for e in edges] for key in ("id", "ends", "phi"))
+        face_edges, corners = ([f[key] for f in faces]
+                               for key in ("edges", "opposite_vertices"))
+    except (TypeError, KeyError):  # an entry is no object or lacks a key
+        _raise_entry_fault(edges, faces)
+    rows = _int_rows(ends, 2), _int_rows(face_edges, 3), _int_rows(corners, 3)
+    if (any(r is None for r in rows) or not set(map(type, ids)) <= {int}
+            or not set(map(type, phi)) <= {int, float}):
+        _raise_entry_fault(edges, faces)
+    ends, face_edges, corners = rows
+    return IdealTriangulation(n_boundary=n, ids=ids, ends=_less_one(ends),
+                              phi=_float_array(phi), vertex=_less_one(corners),
+                              face_edges=face_edges)
 
 
 def serialize_mesh(m: IdealTriangulation) -> str:
@@ -363,22 +420,16 @@ def parse_keyed_vector(text: str | bytes, what: str,
     `what` names the document in the FormatError messages.  The state file
     and the CLI's target file share this format.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        # every number is read as a float, so an integer too large for one
-        # becomes inf, as the number 1e400 does, instead of raising
-        # OverflowError; true and false stay bool
-        doc = json.loads(text, parse_int=float)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{what} JSON syntax error at line {exc.lineno} "
-                          f"column {exc.colno}: {exc.msg}") from exc
+    # every number is read as a float, so an integer too large for one
+    # becomes inf, as the number 1e400 does, instead of raising
+    # OverflowError; true and false stay bool
+    doc = _load_json(text, what, parse_int=float)
     _require(isinstance(doc, dict), "{} document must be a JSON object", what)
     present = [k for k in keys if k in doc]
     _require(len(present) == 1,
              '{} document must contain exactly one of "{}" or "{}"', what, *keys)
     values = doc[present[0]]
-    _require(isinstance(values, list) and all(type(v) is float for v in values),
+    _require(isinstance(values, list) and set(map(type, values)) <= {float},
              "{} key {!r} must be a list of numbers", what, present[0])
     return present[0], np.array(values, dtype=float)
 

@@ -43,6 +43,9 @@ TORUS_DOC = {
     ],
 }
 
+# JSON arrays nested past the interpreter's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
 
 @pytest.fixture
 def pants():

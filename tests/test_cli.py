@@ -10,7 +10,7 @@ import pytest
 
 import hexflow as hf
 from hexflow.cli import log_level, main
-from conftest import K_PANTS_R1, PANTS_DOC, TORUS_DOC, U_OF_R1
+from conftest import DEEP, K_PANTS_R1, PANTS_DOC, TORUS_DOC, U_OF_R1
 
 
 @pytest.fixture
@@ -84,6 +84,12 @@ class TestCheck:
         assert len(err.encode()) < 1024
         assert "999997 boundary components appear in no face corner: 4, 5," in err
 
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        assert main(["check", str(path)]) == 2
+        assert "mesh JSON nested too deeply" in capsys.readouterr().err
+
 
 class TestCurvature:
     def test_pants_r1(self, pants_file, r1_state_file, capsys):
@@ -111,6 +117,12 @@ class TestCurvature:
         state = write_json(tmp_path, "no_key.json", {"radii": [1, 1, 1]})
         assert main(["curvature", pants_file, "--state", state]) == 2
 
+    def test_deeply_nested_state_exit_2(self, pants_file, tmp_path, caplog):
+        state = tmp_path / "deep.json"
+        state.write_text('{"u": ' + DEEP + "}")
+        assert main(["curvature", pants_file, "--state", str(state)]) == 2
+        assert "state JSON nested too deeply" in caplog.text
+
 
 class TestFlow:
     def flow_args(self, pants_file, r1_state_file, tmp_path, target, **extra):
@@ -133,7 +145,7 @@ class TestFlow:
         assert main(args) == 0
         u = hf.load_state_vector(out)
         assert np.max(np.abs(u - U_OF_R1)) < 1e-8
-        lines = open(trace).read().splitlines()
+        lines = Path(trace).read_text().splitlines()
         assert lines[0].startswith("step,t,dt,residual_inf,calabi_energy")
         energies = [float(line.split(",")[4]) for line in lines[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
@@ -172,7 +184,7 @@ class TestFlow:
                                           [0.5, 1.0, 3.0], max_steps=1)
         assert main(args) == 4
         # partial outputs still written
-        assert len(open(trace).read().splitlines()) >= 2
+        assert len(Path(trace).read_text().splitlines()) >= 2
         hf.load_state_vector(out)
 
     def test_step_collapse_exit_4(self, pants_file, r1_state_file, tmp_path,
@@ -218,7 +230,7 @@ class TestSolve:
         out = str(tmp_path / "sol.json")
         assert main(["solve", pants_file, "--target", target,
                      "--tol", "1e-12", "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert np.max(np.abs(np.array(doc["K"]) - [0.5, 1.0, 3.0])) < 1e-10
         # the written solution is itself a loadable state
         u = hf.load_state_vector(out)

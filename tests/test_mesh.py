@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import hexflow as hf
-from conftest import PANTS_DOC, TORUS_DOC, U_OF_R1, disjoint_union, torus_grid_doc
+from hexflow.mesh import parse_keyed_vector
+from conftest import DEEP, PANTS_DOC, TORUS_DOC, U_OF_R1, disjoint_union, torus_grid_doc
 
 
 def doc_with(doc, **overrides):
@@ -40,6 +41,10 @@ class TestParse:
     def test_syntax_error_reports_position(self):
         with pytest.raises(hf.FormatError, match="line"):
             hf.parse_mesh('{"n_boundary": 3,')
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(hf.FormatError, match="^mesh JSON nested too deeply$"):
+            hf.parse_mesh(DEEP)
 
     def test_dangling_edge_reference(self):
         doc = json.loads(json.dumps(PANTS_DOC))
@@ -166,6 +171,24 @@ FAULTS = {
     "n_boundary_10_30": (set_item(["n_boundary"], 10 ** 30),
                          f"{10 ** 30 - 3} boundary components appear in no face corner: "
                          "4, 5, 6, 7, 8, 9, 10, 11, 12, 13, ..."),
+    # JSON shape faults, which parse_mesh tests one column at a time
+    "edge_missing_phi": (lambda doc: doc["edges"][2].pop("phi"),
+                         "edge entry 2 missing key 'phi'"),
+    "ends_length_1": (set_item(["edges", 1, "ends"], [2]),
+                      "edge entry 1: ends must be a pair of integers"),
+    "ends_length_3": (set_item(["edges", 1, "ends"], [2, 3, 1]),
+                      "edge entry 1: ends must be a pair of integers"),
+    "face_edges_length_4": (set_item(["faces", 1, "edges"], [1, 2, 3, 1]),
+                            "face entry 1: edges must be a triple of edge ids"),
+    "phi_true": (set_item(["edges", 1, "phi"], True), "edge entry 1: phi must be a number"),
+    # an integer too large for a float reads as inf
+    "phi_10_400": (set_item(["edges", 1, "phi"], 10 ** 400),
+                   "edge 2 weight must be positive and at most 700, got inf"),
+    # the int64 minimum must not wrap when 1 is subtracted
+    "endpoint_minus_2_63": (set_item(["edges", 1, "ends"], [2, -2 ** 63]),
+                            f"edge 2 endpoint {-2 ** 63} out of range 1..3"),
+    "corner_minus_2_63": (set_item(["faces", 0, "opposite_vertices"], [3, -2 ** 63, 2]),
+                          f"face 0 corner 1 vertex {-2 ** 63} out of range 1..3"),
 }
 
 # several faults in one document: the first in edge order, then face order,
@@ -207,6 +230,10 @@ MULTI_FAULTS = {
         lambda doc: (doc["edges"].insert(0, {"id": 7, "ends": [1, 2], "phi": 2.0}),
                      doc["faces"].append(doc["faces"][0])),
         "edge 7 is not referenced by any face"),
+    "last_face_shape_before_edge_0_range": (
+        lambda doc: (set_item(["edges", 0, "ends"], [1, 9])(doc),
+                     set_item(["faces", 1, "opposite_vertices"], [3, 1])(doc)),
+        "face entry 1: opposite_vertices must be a triple of integers"),
     "face_faults_before_missing_components": (
         lambda doc: (set_item(["n_boundary"], 5)(doc),
                      set_item(["faces", 1, "edges"], [1, 2, 4])(doc)),
@@ -299,7 +326,7 @@ def loop_reference(doc):
 
 def random_faults(rng, doc):
     """doc with one to four random values replaced, entries dropped or copied."""
-    values = [0, 1, 2, 3, 4, 9, -1, 99, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, BIG]
+    values = [0, 1, 2, 3, 4, 9, -1, 99, 2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, BIG]
     for _ in range(rng.randint(1, 4)):
         edges, faces = doc["edges"], doc["faces"]
         e, f = rng.randrange(len(edges) or 1), rng.randrange(len(faces) or 1)
@@ -402,6 +429,12 @@ class TestStateFiles:
         # like the number -1e400; the state check then rejects it
         u = hf.parse_state_vector('{"u": [-1' + "0" * 400 + ', -0.5]}')
         assert np.array_equal(u, [-np.inf, -0.5])
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(hf.FormatError, match="^state JSON nested too deeply$"):
+            hf.parse_state_vector('{"u": ' + DEEP + "}")
+        with pytest.raises(hf.FormatError, match="^target JSON nested too deeply$"):
+            parse_keyed_vector(DEEP, "target", ("kbar", "K"))
 
     def test_extra_keys_tolerated(self):
         # solver output carries "K" alongside "u" and must reload as a state
