@@ -23,7 +23,7 @@ the stability cap, and is the next step's first stage, so an attempt costs
 embedded 5th- and 3rd-order solutions as Hairer's DOP853 code does, in the
 per-component absolute max norm, and a step is accepted when it is at most
 STEP_ERROR_TOL.  The next dt is dt * 0.9 err^(-1/8), clipped to [1/3, 6]
-and not grown right after a rejection, and then capped so that the flow
+(at most 1 right after a rejection, below), and then capped so that the flow
 linearized at the new state stays inside the tableau's real stability
 interval [-STABILITY_BOUND, 0]: dt <= 0.9 STABILITY_BOUND / g^p, with g the
 largest absolute row sum of Delta, a Gershgorin bound on the eigenvalues of
@@ -38,9 +38,11 @@ overflow the kernel), or when the Calabi energy E = |K - Kbar|^2 / 2
 increases; the kernel's own check is the only admissibility test of a
 stage.  Every kind decreases E: with r = K - Kbar, dE/dt = r . Delta du/dt
 = -r . (-Delta)^(1+s) r < 0, for s = 0 (Ricci), s = 1 (Calabi) and every
-fractional order between.  The continuous flows also provably stay
-interior, so persistent rejection signals a bug and raises StepCollapseError
-after 60 consecutive rejections.
+fractional order between.  The integrator keeps one count of consecutive
+rejected attempts, whatever the cause (error estimate, inadmissible state,
+energy increase), reset when an attempt is accepted.  A step accepted with the count above 0 does not grow dt, and the
+count reaching 60 raises StepCollapseError: the continuous flows provably
+stay interior, so persistent rejection signals a bug.
 
 The Ricci potential Phi, whose gradient is -(K - Kbar), is carried as one
 more component of the ODE: dPhi/dt = -(K - Kbar) . du/dt at every stage,
@@ -188,10 +190,12 @@ class FlowConfig:
             raise ValueError("every target curvature entry must be positive and finite")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
+        for name in ("max_steps", "trace_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class Status(enum.Enum):
@@ -214,7 +218,7 @@ class TraceRow(NamedTuple):
     max_u: float
 
 
-CSV_HEADER = "step,t,dt,residual_inf,calabi_energy,ricci_potential_delta,min_edge_length,max_u"
+CSV_HEADER = ",".join(TraceRow._fields)
 
 
 @dataclass
@@ -232,9 +236,7 @@ class FlowTrace:
     def write_csv(self, fh) -> None:
         fh.write(CSV_HEADER + "\n")
         for row in self.rows:
-            fh.write(f"{row.step},{row.t!r},{row.dt!r},{row.residual_inf!r},"
-                     f"{row.calabi_energy!r},{row.ricci_potential_delta!r},"
-                     f"{row.min_edge_length!r},{row.max_u!r}\n")
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def fractional_power(a: np.ndarray, s: float) -> np.ndarray:
@@ -330,10 +332,11 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     resid_inf = float(np.max(np.abs(k - cfg.kbar)))
     energy = calabi_energy(k, cfg.kbar)
     t = 0.0
-    dt = DT0
+    dt = dt_used = DT0
     step = 0
+    rejections = 0      # consecutive rejected attempts
 
-    def record(dt_used: float) -> None:
+    def record() -> None:
         trace.rows.append(TraceRow(
             step=step, t=t, dt=dt_used, residual_inf=resid_inf,
             calabi_energy=energy,
@@ -342,74 +345,62 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
             max_u=float(np.max(state.u)),
         ))
 
-    def reject(cause: str, detail: str, factor: float = 0.5) -> None:
-        nonlocal dt, after_rejection
-        logger.debug("step %d rejected (%s) at t=%r with dt=%r: %s",
-                     step + 1, cause, t, dt, detail)
-        dt *= factor
-        after_rejection = True
-
-    record(dt)
-    if resid_inf < cfg.tol:
-        return state, trace, Status.CONVERGED
-
-    while step < cfg.max_steps:
-        accepted = None
-        after_rejection = False
-        for _ in range(MAX_HALVINGS):
-            try:
-                for i, a in enumerate(_A[:-1]):
-                    stage = ConformalState(u=state.u + dt * (a @ ks[:i + 1]))
-                    ks[i + 1], stage_k, _ = _evaluate(m, stage, cfg)
-                    gs[i + 1] = -(stage_k - cfg.kbar) @ ks[i + 1]
-                    trace.rhs_evals += 1
-                new_state = ConformalState(u=state.u + dt * (_A[-1] @ ks[:-1]))
-                ks[-1], new_k, new_g = _evaluate(m, new_state, cfg,
-                                                 with_bound=True)
-                gs[-1] = -(new_k - cfg.kbar) @ ks[-1]
+    record()
+    while resid_inf >= cfg.tol and step < cfg.max_steps:
+        cause = None
+        try:
+            for i, a in enumerate(_A[:-1]):
+                stage = ConformalState(u=state.u + dt * (a @ ks[:i + 1]))
+                ks[i + 1], stage_k, _ = _evaluate(m, stage, cfg)
+                gs[i + 1] = -(stage_k - cfg.kbar) @ ks[i + 1]
                 trace.rhs_evals += 1
-            except StateError as exc:
-                trace.rejected_inadmissible += 1
-                reject("inadmissible", str(exc))
-                continue
+            new_state = ConformalState(u=state.u + dt * (_A[-1] @ ks[:-1]))
+            ks[-1], new_k, new_g = _evaluate(m, new_state, cfg, with_bound=True)
+            gs[-1] = -(new_k - cfg.kbar) @ ks[-1]
+            trace.rhs_evals += 1
+        except StateError as exc:
+            trace.rejected_inadmissible += 1
+            cause, detail, factor = "inadmissible", str(exc), 0.5
+        else:
             err = _step_error(dt, ks[:-1])
             if err > 1.0:
                 trace.rejected_error += 1
-                reject("error", f"error estimate {err!r} x STEP_ERROR_TOL",
-                       _step_factor(err))
-                continue
-            new_energy = calabi_energy(new_k, cfg.kbar)
-            if new_energy > energy + ENERGY_SLACK:
+                cause, factor = "error", _step_factor(err)
+                detail = f"error estimate {err!r} x STEP_ERROR_TOL"
+            elif (new_energy := calabi_energy(new_k, cfg.kbar)) > energy + ENERGY_SLACK:
                 trace.rejected_energy += 1
-                reject("energy", f"Calabi energy {energy!r} -> {new_energy!r}")
-                continue
-            accepted = (new_state, new_k, new_energy, new_g)
-            break
-        if accepted is None:
-            raise StepCollapseError(
-                f"no acceptable step after {MAX_HALVINGS} consecutive rejections "
-                f"at t={t!r} (dt collapsed to {dt!r}); the continuous flow stays "
-                f"interior, so this indicates a defect")
-        state, k, energy, g = accepted
+                cause, factor = "energy", 0.5
+                detail = f"Calabi energy {energy!r} -> {new_energy!r}"
+        if cause:
+            logger.debug("step %d rejected (%s) at t=%r with dt=%r: %s",
+                         step + 1, cause, t, dt, detail)
+            dt *= factor
+            rejections += 1
+            if rejections == MAX_HALVINGS:
+                raise StepCollapseError(
+                    f"no acceptable step after {MAX_HALVINGS} consecutive "
+                    f"rejections at t={t!r} (dt collapsed to {dt!r}); the continuous "
+                    f"flow stays interior, so this indicates a defect")
+            continue
+        state, energy = new_state, new_energy
         potential += dt * float(_A[-1] @ gs[:-1])
         ks[0], gs[0] = ks[-1], gs[-1]
-        resid_inf = float(np.max(np.abs(k - cfg.kbar)))
+        resid_inf = float(np.max(np.abs(new_k - cfg.kbar)))
         t += dt
         step += 1
         dt_used = dt
         factor = _step_factor(err)
-        if after_rejection:
+        if rejections:
             factor = min(factor, 1.0)
+        rejections = 0
         # keep dt inside the stability interval of the flow linearized at
         # the new state: the Gershgorin bound g of -Delta bounds its
         # eigenvalues, so those of the linearization are at most g^power in size
-        dt = min(dt * factor, SAFETY * STABILITY_BOUND / g ** power)
-        converged = resid_inf < cfg.tol
-        if converged or step % cfg.trace_every == 0:
-            record(dt_used)
-        if converged:
-            return state, trace, Status.CONVERGED
+        dt = min(dt * factor, SAFETY * STABILITY_BOUND / new_g ** power)
+        if step % cfg.trace_every == 0:
+            record()
 
     if trace.rows[-1].step != step:
-        record(dt_used)
-    return state, trace, Status.BUDGET_EXHAUSTED
+        record()
+    status = Status.CONVERGED if resid_inf < cfg.tol else Status.BUDGET_EXHAUSTED
+    return state, trace, status

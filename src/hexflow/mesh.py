@@ -260,7 +260,8 @@ def check_admissible(m: IdealTriangulation, u: np.ndarray) -> None:
     exactly when cosh l_ij > 1.
     """
     if u.shape != (m.n_boundary,):
-        raise StateError(f"state has {u.size} components, mesh has {m.n_boundary}")
+        size = f"{u.size} components" if u.ndim == 1 else f"shape {u.shape}"
+        raise StateError(f"state has {size}, mesh has {m.n_boundary}")
     # one reduction per bound on the fast path; NaN fails every comparison
     if not (u.max() < 0 and u.min() > -math.inf):
         i = int(np.argmin(np.isfinite(u) & (u < 0)))
@@ -282,7 +283,9 @@ def validate_state(m: IdealTriangulation, u) -> ConformalState:
 
 def state_from_radii(m: IdealTriangulation, r) -> ConformalState:
     """Convenience: validate the state with u_i = log tanh(r_i / 2)."""
-    return validate_state(m, [to_conformal(ri) for ri in np.asarray(r, dtype=float)])
+    r = np.asarray(r, dtype=float)
+    # radii of the wrong shape fail validate_state's shape check unconverted
+    return validate_state(m, [to_conformal(ri) for ri in r] if r.ndim == 1 else r)
 
 
 def euler_characteristic(m: IdealTriangulation) -> int:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestFlowKind:
                 ricci_cfg(np.array([bad, 1.0, 1.0]))
         with pytest.raises(ValueError, match="max_steps"):
             ricci_cfg(np.array([1.0]), max_steps=0)
+        for name, bad in itertools.product(("max_steps", "trace_every"),
+                                           (2.5, np.nan, 3.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                ricci_cfg(np.array([1.0]), **{name: bad})
+        cfg = ricci_cfg(np.array([1.0]), max_steps=np.int64(3), trace_every=np.int32(2))
+        assert (cfg.max_steps, cfg.trace_every) == (3, 2)
         for bad in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="tol"):
                 ricci_cfg(np.array([1.0]), tol=bad)
@@ -298,6 +305,23 @@ class TestIntegrate:
         assert len(logged) == (trace.rejected_error + trace.rejected_inadmissible
                                + trace.rejected_energy)
         assert sum("(inadmissible)" in msg for msg in logged) == trace.rejected_inadmissible
+
+    def test_no_growth_right_after_rejection(self, pants, pants_r1, caplog, monkeypatch):
+        # a step accepted after a rejection does not grow dt for the next step
+        kbar = hf.curvature(pants, pants_r1)
+        monkeypatch.setattr(flows, "DT0", 50.0)
+        with caplog.at_level(logging.DEBUG, logger="hexflow.flows"):
+            _, trace, status = hf.integrate(pants, self.perturbed(pants, pants_r1),
+                                            ricci_cfg(kbar, tol=1e-10, trace_every=1))
+        assert status is hf.Status.CONVERGED
+        rejected = {int(match[1]) for r in caplog.records if r.name == "hexflow.flows"
+                    if (match := re.match(r"step (\d+) rejected", r.getMessage()))}
+        rows = trace.rows
+        assert rejected and max(rejected) + 1 < len(rows)
+        for n in rejected:
+            assert rows[n + 1].dt <= rows[n].dt
+        assert any(rows[n + 1].dt > rows[n].dt
+                   for n in range(1, len(rows) - 1) if n not in rejected)
 
     @pytest.mark.parametrize("kind", [hf.FlowKind.ricci(), hf.FlowKind.calabi(),
                                       hf.FlowKind.fractional(0.5)],

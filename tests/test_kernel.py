@@ -171,6 +171,7 @@ BAD_STATES = {
     "radius_691": ([-1e-300, -0.5, -0.5], "radii up to 691.* overflow the face kernel"),
     "too_long": ([-0.5] * 4, "state has 4 components, mesh has 3"),
     "too_short": ([-0.5] * 2, "state has 2 components, mesh has 3"),
+    "two_dimensional": ([[-0.5] * 3], r"^state has shape \(1, 3\), mesh has 3$"),
 }
 
 EVALUATORS = {

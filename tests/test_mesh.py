@@ -407,6 +407,14 @@ class TestValidateState:
         assert np.allclose(s.u, U_OF_R1, rtol=1e-14)
         assert np.allclose(s.r, 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("r, size", [([[1.0] * 3], r"shape \(1, 3\)"),
+                                         (1.0, r"shape \(\)"),
+                                         ([1.0] * 2, "2 components")],
+                             ids=["two_dimensional", "scalar", "too_short"])
+    def test_state_from_radii_wrong_shape(self, pants, r, size):
+        with pytest.raises(hf.StateError, match=f"^state has {size}, mesh has 3$"):
+            hf.state_from_radii(pants, r)
+
 
 class TestStateFiles:
     def test_u_key(self):

@@ -163,6 +163,13 @@ class TestNewtonSolve:
                 hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]), tol=bad)
         with pytest.raises(ValueError, match="max_iter"):
             hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]), max_iter=-1)
+        for bad in (2.5, np.nan):
+            with pytest.raises(ValueError, match="^max_iter must be an integer"):
+                hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]),
+                                max_iter=bad)
+        res = hf.newton_solve(pants, pants_r1, hf.curvature(pants, pants_r1),
+                              max_iter=np.int64(0))
+        assert res.converged and res.iterations == 0
 
 
 MESHES = ("pants", "torus", "grid3", "grid10")
