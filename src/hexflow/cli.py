@@ -92,12 +92,7 @@ def cmd_curvature(args) -> int:
 def cmd_flow(args) -> int:
     m, state = _load_mesh_and_state(args)
     kbar = _load_target(args.target)
-    if args.kind == "ricci":
-        kind = FlowKind.ricci()
-    elif args.kind == "calabi":
-        kind = FlowKind.calabi()
-    else:
-        kind = FlowKind.fractional(args.s)
+    kind = FlowKind.fractional(args.s) if args.kind == "frac" else FlowKind(args.kind)
     cfg = FlowConfig(kind=kind, kbar=kbar, tol=args.tol,
                      max_steps=args.max_steps, trace_every=args.trace_every)
     try:

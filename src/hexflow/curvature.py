@@ -221,10 +221,12 @@ def ricci_potential(m: IdealTriangulation, s: ConformalState, s0: ConformalState
     where that exceeds 1) is bisected, and the GL32 values of the accepted
     pieces are summed.  The result is within POTENTIAL_ABS_TOL of the exact
     integral.  Raises ValueError unless kbar has one entry per boundary
-    component of m.
+    component of m, and StateError unless s and s0 are admissible.
     """
     kbar = np.asarray(kbar, dtype=float)
     _check_target(m, kbar)
+    check_admissible(m, s.u)
+    check_admissible(m, s0.u)
     d = s.u - s0.u
     if not d.any():
         return 0.0

@@ -6,12 +6,12 @@ Three flows on the conformal factors u:
     calabi:      du/dt = -Delta (K - Kbar)
     fractional:  du/dt = -Delta^s (K - Kbar),   Delta^s = -(-Delta)^s
 
-s = 0 reduces the fractional flow to the Ricci flow and s = 1 to the Calabi
-flow; both reductions are exact special cases in fractional_power.  For the
-Calabi and fractional flows K and Delta come from one call of the face
-kernel.  The Calabi flow multiplies by Delta with one scatter over its
-stored entries (curvature._apply); only the fractional flow builds the
-dense Delta, for the eigendecomposition.
+The three are one flow of order s (FlowKind.order): the Ricci flow is order
+0, the Calabi flow order 1, and the order alone picks the evaluation.  Order
+0 evaluates K alone; order 1 gets K and Delta from one kernel call and
+multiplies by Delta with one scatter over its stored entries
+(curvature._apply); any other order builds the dense Delta for the
+eigendecomposition.  So fractional(0) and (1) run the Ricci and Calabi flows.
 
 The integrator is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 section II.10), Prince and Dormand's explicit 8th-order Runge-Kutta method
@@ -27,7 +27,7 @@ STEP_ERROR_TOL.  The next dt is dt * 0.9 err^(-1/8), clipped to [1/3, 6]
 linearized at the new state stays inside the tableau's real stability
 interval [-STABILITY_BOUND, 0]: dt <= 0.9 STABILITY_BOUND / g^p, with g the
 largest absolute row sum of Delta, a Gershgorin bound on the eigenvalues of
--Delta, and p = 1 (Ricci), 2 (Calabi) or 1 + s (fractional).  Without the
+-Delta, and p = 1 + s for the flow of order s.  Without the
 cap, dt would settle where the stiffest mode of u - u* neither decays nor
 grows, and the residual would stall at a size set by STEP_ERROR_TOL.  The
 first trial step is DT0, uncapped.
@@ -65,7 +65,7 @@ import numpy as np
 from .errors import DefinitenessError, StateError, StepCollapseError
 from .curvature import (_apply, _check_target, _dense_laplacian, _hexagons,
                         calabi_energy, curvature, edge_lengths)
-from .mesh import ConformalState, IdealTriangulation
+from .mesh import ConformalState, IdealTriangulation, _frozen
 
 logger = logging.getLogger(__name__)
 
@@ -163,6 +163,10 @@ class FlowKind:
         elif self.s is not None:
             raise ValueError(f"{self.name} flow takes no order parameter")
 
+    @property
+    def order(self) -> float:
+        return self.s if self.name == "fractional" else float(self.name == "calabi")
+
     @classmethod
     def ricci(cls) -> "FlowKind":
         return cls("ricci")
@@ -176,16 +180,16 @@ class FlowKind:
         return cls("fractional", float(s))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
     kind: FlowKind
-    kbar: np.ndarray
+    kbar: np.ndarray          # a read-only copy of the caller's target
     tol: float = 1e-10
     max_steps: int = 200_000
     trace_every: int = 10
 
     def __post_init__(self):
-        self.kbar = np.asarray(self.kbar, dtype=float)
+        object.__setattr__(self, "kbar", _frozen(np.array(self.kbar, dtype=float)))
         if not np.all((self.kbar > 0) & np.isfinite(self.kbar)):
             raise ValueError("every target curvature entry must be positive and finite")
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -262,11 +266,11 @@ def _evaluate(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig,
     with_bound is set, g at s (else None), from one kernel call.
 
     g is the largest absolute row sum of Delta, a Gershgorin bound on the
-    eigenvalues of -Delta, summed over the stored entries of Delta.  The
-    Calabi flow applies Delta by one scatter over those entries; only the
-    fractional flow builds the dense Delta, which eigh needs."""
-    kind = cfg.kind
-    if kind.name == "ricci" and not with_bound:
+    eigenvalues of -Delta, summed over the stored entries of Delta.  Order 1
+    applies Delta by one scatter over those entries; only the orders
+    strictly between 0 and 1 build the dense Delta, which eigh needs."""
+    order = cfg.kind.order
+    if order == 0.0 and not with_bound:
         k = curvature(m, s)
         return k - cfg.kbar, k, None
     k, data, _jac = _hexagons(m, s.u, jacobian=True)
@@ -276,11 +280,11 @@ def _evaluate(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig,
         p = m.laplacian_pattern
         g = float(np.bincount(p.indices, weights=np.abs(data),
                               minlength=m.n_boundary).max())
-    if kind.name == "ricci":
+    if order == 0.0:
         return resid, k, g
-    if kind.name == "calabi":
+    if order == 1.0:
         return -_apply(m, data, resid), k, g
-    return -fractional_power(_dense_laplacian(m, data), kind.s) @ resid, k, g
+    return -fractional_power(_dense_laplacian(m, data), order) @ resid, k, g
 
 
 def rhs(m: IdealTriangulation, s: ConformalState, cfg: FlowConfig) -> np.ndarray:
@@ -317,10 +321,7 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     one entry per boundary component of m."""
     _check_target(m, cfg.kbar)
     # the flow linearized at u* is du/dt = -(-Delta)^power (u - u*)
-    if cfg.kind.name == "fractional":
-        power = 1.0 + cfg.kind.s
-    else:
-        power = 1.0 if cfg.kind.name == "ricci" else 2.0
+    power = 1.0 + cfg.kind.order
     trace = FlowTrace()
     state = s0
     ks = np.empty((len(_A) + 1, m.n_boundary))   # the stages of one attempt
@@ -349,15 +350,12 @@ def integrate(m: IdealTriangulation, s0: ConformalState,
     while resid_inf >= cfg.tol and step < cfg.max_steps:
         cause = None
         try:
-            for i, a in enumerate(_A[:-1]):
-                stage = ConformalState(u=state.u + dt * (a @ ks[:i + 1]))
-                ks[i + 1], stage_k, _ = _evaluate(m, stage, cfg)
-                gs[i + 1] = -(stage_k - cfg.kbar) @ ks[i + 1]
+            for i, a in enumerate(_A):      # the last pass is the FSAL stage
+                new_state = ConformalState(u=state.u + dt * (a @ ks[:i + 1]))
+                ks[i + 1], new_k, new_g = _evaluate(
+                    m, new_state, cfg, with_bound=i == len(_A) - 1)
+                gs[i + 1] = -(new_k - cfg.kbar) @ ks[i + 1]
                 trace.rhs_evals += 1
-            new_state = ConformalState(u=state.u + dt * (_A[-1] @ ks[:-1]))
-            ks[-1], new_k, new_g = _evaluate(m, new_state, cfg, with_bound=True)
-            gs[-1] = -(new_k - cfg.kbar) @ ks[-1]
-            trace.rhs_evals += 1
         except StateError as exc:
             trace.rejected_inadmissible += 1
             cause, detail, factor = "inadmissible", str(exc), 0.5

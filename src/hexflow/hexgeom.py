@@ -57,11 +57,15 @@ def _acosh(x: float) -> float:
     return math.log(x + math.sqrt(x - 1.0) * math.sqrt(x + 1.0))
 
 
-def to_conformal(r: float) -> float:
-    """Conformal factor u = log tanh(r/2) of a radius r > 0."""
-    _check_radius(r)
-    e = math.exp(-r)
-    return math.log1p(-e) - math.log1p(e)
+def to_conformal(r):
+    """Conformal factors u = log tanh(r/2) of radii r > 0, elementwise.
+    Raises StateError for the first radius out of range."""
+    r = np.asarray(r, dtype=float)
+    ok = (r > 0.0) & (r <= RADIUS_MAX)      # False for NaN
+    if not ok.all():
+        _check_radius(float(r[~ok][0]))
+    e = np.exp(-r)
+    return np.log1p(-e) - np.log1p(e)
 
 
 def radii(u):

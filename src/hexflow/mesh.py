@@ -283,9 +283,7 @@ def validate_state(m: IdealTriangulation, u) -> ConformalState:
 
 def state_from_radii(m: IdealTriangulation, r) -> ConformalState:
     """Convenience: validate the state with u_i = log tanh(r_i / 2)."""
-    r = np.asarray(r, dtype=float)
-    # radii of the wrong shape fail validate_state's shape check unconverted
-    return validate_state(m, [to_conformal(ri) for ri in r] if r.ndim == 1 else r)
+    return validate_state(m, to_conformal(r))
 
 
 def euler_characteristic(m: IdealTriangulation) -> int:
@@ -442,7 +440,7 @@ def parse_state_vector(text: str | bytes) -> np.ndarray:
     key, values = parse_keyed_vector(text, "state", ("u", "r"))
     if key == "u":
         return values
-    return np.array([to_conformal(float(ri)) for ri in values])
+    return to_conformal(values)
 
 
 def load_state_vector(path) -> np.ndarray:

@@ -179,6 +179,18 @@ class TestFlow:
                                       tol=1e-8)
         assert main(args) == 0
 
+    @pytest.mark.parametrize("s, kind", [(0, "ricci"), (1, "calabi")])
+    def test_frac_order_ends_match_plain_kinds(self, pants_file, r1_state_file,
+                                               tmp_path, s, kind):
+        outputs = []
+        for extra in ({"kind": "frac", "s": s}, {"kind": kind}):
+            args, out, trace = self.flow_args(pants_file, r1_state_file, tmp_path,
+                                              [0.5, 1.0, 3.0], tol=1e-8,
+                                              trace_every=1, **extra)
+            assert main(args) == 0
+            outputs.append((Path(out).read_bytes(), Path(trace).read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_budget_exhaustion_exit_4(self, pants_file, r1_state_file, tmp_path):
         args, out, trace = self.flow_args(pants_file, r1_state_file, tmp_path,
                                           [0.5, 1.0, 3.0], max_steps=1)

@@ -124,6 +124,21 @@ class TestRicciPotential:
         with pytest.raises(ValueError, match=f"^{message}$"):
             hf.ricci_potential(pants, pants_r1, s0, kbar)
 
+    @pytest.mark.parametrize("u0,message", [
+        ([-0.6], "state has 1 components, mesh has 3"),
+        ([[-0.6, -0.6, -0.6]], r"state has shape \(1, 3\), mesh has 3"),
+    ], ids=["short", "row"])
+    def test_anchor_shape_checked(self, pants, pants_r1, u0, message):
+        # an anchor that numpy would broadcast against s is refused
+        s0 = hf.ConformalState(u=np.array(u0))
+        with pytest.raises(hf.StateError, match=f"^{message}$"):
+            hf.ricci_potential(pants, pants_r1, s0, self.KBAR)
+
+    def test_equal_states_checked(self, pants):
+        s = hf.ConformalState(u=np.array([-0.6]))
+        with pytest.raises(hf.StateError, match="^state has 1 components, mesh has 3$"):
+            hf.ricci_potential(pants, s, s, self.KBAR)
+
     def test_gradient_is_negative_residual(self, pants, pants_r1):
         rng = np.random.default_rng(31)
         h = 1e-4

@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import itertools
 import json
 import logging
@@ -59,6 +61,24 @@ class TestFlowKind:
                 ricci_cfg(np.array([1.0]), tol=bad)
 
 
+def test_flow_order():
+    orders = [hf.FlowKind.ricci().order, hf.FlowKind.calabi().order,
+              hf.FlowKind.fractional(0.25).order]
+    assert orders == [0.0, 1.0, 0.25]
+
+
+def test_config_frozen_after_checks():
+    # the checks run once, so no field may change after them
+    kbar = np.array([1.0, 2.0, 3.0])
+    cfg = ricci_cfg(kbar)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trace_every = 0
+    kbar[0] = -5.0
+    assert np.array_equal(cfg.kbar, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.kbar[0] = -5.0
+
+
 class TestFractionalPower:
     def sample_laplacian(self, pants, seed=3):
         rng = np.random.default_rng(seed)
@@ -106,8 +126,8 @@ class TestRhs:
             calabi = hf.rhs(pants, s, hf.FlowConfig(hf.FlowKind.calabi(), kbar))
             frac0 = hf.rhs(pants, s, hf.FlowConfig(hf.FlowKind.fractional(0.0), kbar))
             frac1 = hf.rhs(pants, s, hf.FlowConfig(hf.FlowKind.fractional(1.0), kbar))
-            assert np.max(np.abs(frac0 - ricci)) < 1e-12
-            assert np.max(np.abs(frac1 - calabi)) < 1e-12
+            assert np.array_equal(frac0, ricci)
+            assert np.array_equal(frac1, calabi)
 
     def test_ricci_sign_convention(self, pants, pants_r1):
         kbar = hf.curvature(pants, pants_r1)
@@ -387,10 +407,35 @@ def test_converges_at_default_tol(name, kind):
     assert np.max(np.abs(final.u - target.u)) < 1e-8
 
 
+def run_bytes(m, s0, cfg):
+    """Everything integrate reports, as bytes: final u, trace CSV, status
+    and the counters."""
+    final, trace, status = hf.integrate(m, s0, cfg)
+    csv = io.StringIO()
+    trace.write_csv(csv)
+    return (final.u.tobytes(), csv.getvalue(), status, trace.rhs_evals,
+            trace.rejected_error, trace.rejected_inadmissible, trace.rejected_energy)
+
+
+@pytest.mark.parametrize("name", ["pants", "grid3"])
+def test_fractional_ends_run_ricci_and_calabi(name):
+    # orders 0 and 1 take the Ricci and Calabi paths, bit for bit
+    rng = np.random.default_rng(11)
+    m = random_mesh(name, rng)
+    kbar = hf.curvature(m, admissible_state(m, rng, 0.3, 0.9))
+    s0 = hf.default_start(m)
+    for plain, s in ((hf.FlowKind.ricci(), 0.0), (hf.FlowKind.calabi(), 1.0)):
+        for tol, max_steps in ((1e-8, 200_000), (1e-10, 40)):
+            runs = [run_bytes(m, s0, hf.FlowConfig(kind, kbar, tol=tol,
+                                                   max_steps=max_steps, trace_every=1))
+                    for kind in (plain, hf.FlowKind.fractional(s))]
+            assert runs[0] == runs[1]
+
+
 def test_only_fractional_builds_dense_laplacian(monkeypatch):
     # the Ricci bound and the Calabi right-hand side use the stored entries
-    # of Delta; only the eigendecomposition of the fractional flow needs the
-    # dense matrix
+    # of Delta; only the eigendecomposition of the fractional flow of an
+    # order strictly between 0 and 1 needs the dense matrix
     def dense(*args):
         raise AssertionError("dense Delta built")
 
@@ -398,7 +443,8 @@ def test_only_fractional_builds_dense_laplacian(monkeypatch):
     rng = np.random.default_rng(0)
     m = random_mesh("grid3", rng)
     kbar = hf.curvature(m, admissible_state(m, rng, 0.3, 0.9))
-    for kind in (hf.FlowKind.ricci(), hf.FlowKind.calabi()):
+    for kind in (hf.FlowKind.ricci(), hf.FlowKind.calabi(),
+                 hf.FlowKind.fractional(0.0), hf.FlowKind.fractional(1.0)):
         cfg = hf.FlowConfig(kind=kind, kbar=kbar, tol=1e-8)
         _, _, status = hf.integrate(m, hf.default_start(m), cfg)
         assert status is hf.Status.CONVERGED

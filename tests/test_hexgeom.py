@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -30,6 +31,22 @@ class TestConformalChange:
     @pytest.mark.parametrize("u", [-0.1, -1.0, -10.0])
     def test_round_trip_u(self, u):
         assert rel_err(hf.to_conformal(hf.from_conformal(u)), u) < 1e-12
+
+    def test_to_conformal_elementwise(self):
+        r = np.array([[1e-3, 0.1, 1.0], [5.0, 40.0, 700.0]])
+        u = hf.to_conformal(r)
+        assert u.shape == r.shape
+        for ui, ri in zip(u.flat, r.flat):
+            assert rel_err(ui, hf.to_conformal(float(ri))) <= 1e-15
+
+    @pytest.mark.parametrize("bad, message", [
+        (-2.0, "r must be a finite positive real, got -2.0"),
+        (800.0, "r=800.0 exceeds the overflow bound 700.0"),
+        (math.nan, "r must be a finite positive real, got nan"),
+    ])
+    def test_to_conformal_names_first_bad_radius(self, bad, message):
+        with pytest.raises(hf.StateError, match=f"^{re.escape(message)}$"):
+            hf.to_conformal([1.0, bad, -1.0])
 
     def test_from_conformal_monotone_toward_infinity(self):
         us = [-1.0, -0.1, -0.01, -0.001, -1e-6]
