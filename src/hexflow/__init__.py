@@ -11,7 +11,7 @@ from .mesh import (ConformalState, Edge, Face, IdealTriangulation,
                    parse_mesh, parse_state_vector, serialize_mesh,
                    state_from_radii, validate_state)
 from .curvature import (calabi_energy, curvature, edge_lengths, laplacian,
-                        ricci_potential, sparse_laplacian)
+                        ricci_potential)
 from .flows import (FlowConfig, FlowKind, FlowTrace, Status, TraceRow,
                     fractional_power, integrate, rhs)
 from .solver import SolveResult, default_start, newton_solve
@@ -28,6 +28,6 @@ __all__ = [
     "euler_characteristic", "fractional_power", "from_conformal",
     "hexagon_geometry", "integrate", "laplacian", "load_mesh",
     "load_state_vector", "newton_solve", "parse_mesh", "parse_state_vector",
-    "rhs", "ricci_potential", "serialize_mesh", "sparse_laplacian",
-    "state_from_radii", "to_conformal", "validate_state",
+    "rhs", "ricci_potential", "serialize_mesh", "state_from_radii",
+    "to_conformal", "validate_state",
 ]

@@ -124,9 +124,8 @@ def cmd_solve(args) -> int:
                      "(hexflow flow --kind ricci) and pass its output via --state",
                      exc)
         return EXIT_NO_CONVERGENCE
-    k = curvature(m, result.u_star)
     if args.out:
-        _write_state(args.out, result.u_star.u, k)
+        _write_state(args.out, result.u_star.u, curvature(m, result.u_star))
     logger.info("%s after %d iterations, residual_inf=%.3e",
                 "converged" if result.converged else "not converged",
                 result.iterations, result.residual_inf)

@@ -3,11 +3,10 @@
 K_i is the total boundary length at component i: the sum of the hexagon
 arc lengths at every face corner incident to i.  The discrete Laplacian
 Delta[i][j] = dK_i/du_j is symmetric and negative definite on the admissible
-space; `laplacian` returns it as a dense array and `sparse_laplacian` as a
-scipy CSC array with one stored entry per pair of components sharing a face.
-The flows and the Newton solver work on those stored entries directly:
-`_apply` multiplies Delta by a vector with one np.bincount over them, in the
-order of scipy's CSC product, so the two are bitwise equal.
+space.  The kernel keeps one stored entry of Delta per pair of components
+sharing a face; `laplacian` returns them as a dense array, and the flows and
+the Newton solver work on them directly: `_apply` multiplies Delta by a
+vector with one np.bincount over them.
 
 All are views of one batched face kernel, _hexagons: it gathers the radii
 through the mesh's index arrays, computes every edge length, arc and (3, 3)
@@ -32,16 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import StateError
 from .hexgeom import radii
 from .mesh import ConformalState, IdealTriangulation, check_admissible
-
-if TYPE_CHECKING:
-    from scipy.sparse import csc_array
 
 # Documented contract for the line-integral energy is 1e-9 absolute; the
 # quadrature itself is run tighter so finite differences of the energy
@@ -85,7 +80,7 @@ def _require_finite(total: float, r: np.ndarray) -> None:
 
 def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
     """The face kernel at the state u: K, and with `jacobian` the tuple
-    (K, data, jac) of K, the stored entries data of Delta in the CSC order
+    (K, data, jac) of K, the stored entries data of Delta in the order
     of m.laplacian_pattern, and the symmetrized corner Jacobians
     jac[f, a, b] = d theta_a / d u_b (F, 3, 3) that data sums.
 
@@ -163,16 +158,6 @@ def _apply(m: IdealTriangulation, data: np.ndarray, v: np.ndarray) -> np.ndarray
     """Delta v, for Delta with the stored entries data (see _hexagons)."""
     p = m.laplacian_pattern
     return np.bincount(p.indices, weights=data * v[p.col], minlength=m.n_boundary)
-
-
-def sparse_laplacian(m: IdealTriangulation, s: ConformalState) -> csc_array:
-    """Delta = dK/du as a scipy CSC array; same entries as `laplacian`."""
-    from scipy.sparse import csc_array  # scipy loads on first use only
-
-    p = m.laplacian_pattern
-    n = m.n_boundary
-    return csc_array((_hexagons(m, s.u, jacobian=True)[1], p.indices, p.indptr),
-                     shape=(n, n))
 
 
 def laplacian(m: IdealTriangulation, s: ConformalState) -> np.ndarray:

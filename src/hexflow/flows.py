@@ -196,7 +196,7 @@ class FlowConfig:
             raise ValueError("tol must be positive and finite")
         for name in ("max_steps", "trace_every"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -59,13 +59,22 @@ def _acosh(x: float) -> float:
 
 def to_conformal(r):
     """Conformal factors u = log tanh(r/2) of radii r > 0, elementwise.
-    Raises StateError for the first radius out of range."""
+    Raises StateError for the first radius out of range.
+
+    u = log(1 - e^-r) - log1p(e^-r), where log(1 - e^-r) is log(-expm1(-r))
+    for r <= ln 2, since e^-r rounds there, and log1p(-e^-r) above (Maechler,
+    "Accurately computing log(1 - exp(-|a|))", 2012): full relative accuracy
+    down to the smallest positive radius."""
     r = np.asarray(r, dtype=float)
     ok = (r > 0.0) & (r <= RADIUS_MAX)      # False for NaN
     if not ok.all():
         _check_radius(float(r[~ok][0]))
     e = np.exp(-r)
-    return np.log1p(-e) - np.log1p(e)
+    small = r <= math.log(2.0)
+    log1m = np.empty_like(r)
+    log1m[small] = np.log(-np.expm1(-r[small]))
+    log1m[~small] = np.log1p(-e[~small])
+    return log1m - np.log1p(e)
 
 
 def radii(u):

@@ -61,13 +61,11 @@ class LaplacianPattern:
     """Where the corner Jacobians of a mesh land in Delta.
 
     Delta has one stored entry per (row, column) pair of corners sharing a
-    face, in compressed sparse column (CSC) order: column j holds rows
-    indices[indptr[j]:indptr[j + 1]], ascending, and col names the column
-    of every stored entry.
+    face, ordered by column, then by row; indices and col name the row and
+    the column of every stored entry.
     """
 
-    slot: np.ndarray      # (9F,) CSC entry of corner-Jacobian entry (f, a, b), flattened
-    indptr: np.ndarray    # (N + 1,)
+    slot: np.ndarray      # (9F,) stored entry of corner-Jacobian entry (f, a, b), flattened
     indices: np.ndarray   # (nnz,) row of each stored entry
     col: np.ndarray       # (nnz,) column of each stored entry
 
@@ -226,12 +224,10 @@ class IdealTriangulation:
         n = self.n_boundary
         vertex = self.vertex
         # key col * n + row of entry (f, a, b), whose row is corner a and
-        # column corner b; sorted keys are CSC order
+        # column corner b; sorted keys order the entries by column, then row
         keys = (vertex[:, None, :] * n + vertex[:, :, None]).ravel()
         stored, slot = np.unique(keys, return_inverse=True)
-        col = stored // n
-        return LaplacianPattern(*map(_frozen, (
-            slot, np.searchsorted(col, np.arange(n + 1)), stored % n, col)))
+        return LaplacianPattern(*map(_frozen, (slot, stored % n, stored // n)))
 
 
 @dataclass(frozen=True)

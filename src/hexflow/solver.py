@@ -139,7 +139,7 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
         raise ValueError("every target entry must be positive and finite")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
-    if not isinstance(max_iter, (int, np.integer)):
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")

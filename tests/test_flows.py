@@ -51,7 +51,7 @@ class TestFlowKind:
         with pytest.raises(ValueError, match="max_steps"):
             ricci_cfg(np.array([1.0]), max_steps=0)
         for name, bad in itertools.product(("max_steps", "trace_every"),
-                                           (2.5, np.nan, 3.0)):
+                                           (2.5, np.nan, 3.0, True)):
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 ricci_cfg(np.array([1.0]), **{name: bad})
         cfg = ricci_cfg(np.array([1.0]), max_steps=np.int64(3), trace_every=np.int32(2))

@@ -24,7 +24,8 @@ class TestConformalChange:
         assert rel_err(hf.to_conformal(1.0), U_OF_R1) < 1e-14
         assert rel_err(hf.from_conformal(-1.0), R_OF_U1) < 1e-14
 
-    @pytest.mark.parametrize("r", [0.1, 1.0, 5.0])
+    # e^-r rounds for small r, and to 1 below about 1.1e-16
+    @pytest.mark.parametrize("r", [0.1, 1.0, 5.0, 1e-10, 1e-17])
     def test_round_trip_r(self, r):
         assert rel_err(hf.from_conformal(hf.to_conformal(r)), r) < 1e-12
 

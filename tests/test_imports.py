@@ -1,8 +1,7 @@
-"""Which scipy modules a fresh interpreter has loaded after each entry point.
+"""hexflow imports no scipy module.
 
-scipy is imported on first use, by sparse_laplacian only, so importing
-hexflow, the check, curvature, solve and flow commands and the Ricci
-potential must leave it unloaded.
+Importing hexflow, the check, curvature, solve and flow commands and the
+Ricci potential must each leave scipy unloaded in a fresh interpreter.
 """
 
 import json
@@ -56,9 +55,3 @@ CLI = "from hexflow.cli import main\nassert main({}) == 0"
 def test_no_scipy_loaded(code, files):
     assert scipy_modules_after(code, files) == []
 
-
-def test_sparse_laplacian_loads_scipy_sparse(files):
-    code = ("import hexflow as hf\n"
-            "m = hf.load_mesh('mesh.json')\n"
-            "hf.sparse_laplacian(m, hf.validate_state(m, [-0.3, -0.5, -0.7]))")
-    assert "scipy.sparse" in scipy_modules_after(code, files)

@@ -10,11 +10,13 @@ those bounds plus the reference's own error.
 """
 
 import json
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csc_array
 
 import hexflow as hf
 from conftest import (PANTS_DOC, admissible_state, disjoint_union, random_mesh,
@@ -79,7 +81,6 @@ def test_kernel_matches_scalar_reference(name, seed):
     assert (np.max(np.abs(a - a_ref))
             <= 1e-12 * scale + np.max(np.abs(a_ref - a_exact)))
     assert np.array_equal(a, a.T)
-    assert np.array_equal(hf.sparse_laplacian(m, s).toarray(), a)
 
     again = hf.validate_state(m, s.u.copy())
     assert np.array_equal(hf.curvature(m, again), k)
@@ -92,18 +93,23 @@ def test_fused_call_bitwise_equal_to_separate_calls(n):
     # the column order of scipy's CSC product, so the two agree bitwise; on
     # the pants and the torus repeated corners sum several Jacobian entries
     # into one stored entry
+    c = sys.modules["hexflow.curvature"]
     if isinstance(n, int):
         rng = np.random.default_rng(n)
         m = random_mesh(f"grid{n}", rng)
     else:
         rng = np.random.default_rng(len(n))
         m = random_mesh(n, rng)
-    kbar = rng.uniform(0.5, 2.0, m.n_boundary)
+    size = m.n_boundary
+    p = m.laplacian_pattern
+    indptr = np.searchsorted(p.col, np.arange(size + 1))
+    kbar = rng.uniform(0.5, 2.0, size)
     cfg = hf.FlowConfig(kind=hf.FlowKind.calabi(), kbar=kbar)
     for _ in range(4):
         s = admissible_state(m, rng)
-        assert np.array_equal(hf.rhs(m, s, cfg),
-                              -(hf.sparse_laplacian(m, s) @ (hf.curvature(m, s) - kbar)))
+        a = csc_array((c._hexagons(m, s.u, jacobian=True)[1], p.indices, indptr),
+                      shape=(size, size))
+        assert np.array_equal(hf.rhs(m, s, cfg), -(a @ (hf.curvature(m, s) - kbar)))
 
 
 def test_grid_laplacian_negative_definite():
@@ -124,10 +130,19 @@ def test_disjoint_union_is_block_diagonal(pants):
 
 def test_sparse_pattern_is_face_adjacency():
     m = random_mesh("grid5", np.random.default_rng(3))
-    a = hf.sparse_laplacian(m, admissible_state(m, np.random.default_rng(4)))
+    p = m.laplacian_pattern
     # each vertex of the triangulated torus grid has six neighbours
-    assert a.nnz == 7 * m.n_boundary
-    assert np.all(np.diff(a.indptr) == 7)
+    assert p.indices.size == 7 * m.n_boundary
+    assert np.all(np.bincount(p.col) == 7)
+
+
+@pytest.mark.parametrize("name", ["pants", "torus", "grid3", "grid5"])
+def test_pattern_ordered_by_column_then_row(name):
+    # _pcg's Jacobi diagonal and the bitwise _apply contract read the
+    # stored entries in this order
+    m = random_mesh(name, np.random.default_rng(3))
+    p = m.laplacian_pattern
+    assert np.all(np.diff(p.col * m.n_boundary + p.indices) > 0)
 
 
 def test_edge_lengths_match_scalar(pants):
@@ -177,7 +192,6 @@ BAD_STATES = {
 EVALUATORS = {
     "curvature": hf.curvature,
     "laplacian": hf.laplacian,
-    "sparse_laplacian": hf.sparse_laplacian,
     "edge_lengths": hf.edge_lengths,
 }
 

@@ -163,7 +163,7 @@ class TestNewtonSolve:
                 hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]), tol=bad)
         with pytest.raises(ValueError, match="max_iter"):
             hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]), max_iter=-1)
-        for bad in (2.5, np.nan):
+        for bad in (2.5, np.nan, True):
             with pytest.raises(ValueError, match="^max_iter must be an integer"):
                 hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]),
                                 max_iter=bad)
