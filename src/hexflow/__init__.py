@@ -4,8 +4,8 @@ ideally triangulated surfaces with boundary."""
 from .errors import (DefinitenessError, FormatError, HexflowError,
                      NoDescentError, StateError, StepCollapseError)
 from .hexgeom import (ADMISSIBILITY_MARGIN, HexagonGeometry, arc_length,
-                      corner_jacobian, d_length_d_radius, edge_length,
-                      from_conformal, hexagon_geometry, to_conformal)
+                      edge_length, from_conformal, hexagon_geometry,
+                      to_conformal)
 from .mesh import (ConformalState, Edge, Face, IdealTriangulation,
                    euler_characteristic, load_mesh, load_state_vector,
                    parse_mesh, parse_state_vector, serialize_mesh,
@@ -23,11 +23,10 @@ __all__ = [
     "Face", "FlowConfig", "FlowKind", "FlowTrace", "FormatError",
     "HexagonGeometry", "HexflowError", "IdealTriangulation", "NoDescentError",
     "SolveResult", "StateError", "Status", "StepCollapseError", "TraceRow",
-    "arc_length", "calabi_energy", "corner_jacobian", "curvature",
-    "d_length_d_radius", "default_start", "edge_length", "edge_lengths",
-    "euler_characteristic", "fractional_power", "from_conformal",
-    "hexagon_geometry", "integrate", "laplacian", "load_mesh",
-    "load_state_vector", "newton_solve", "parse_mesh", "parse_state_vector",
-    "rhs", "ricci_potential", "serialize_mesh", "state_from_radii",
-    "to_conformal", "validate_state",
+    "arc_length", "calabi_energy", "curvature", "default_start", "edge_length",
+    "edge_lengths", "euler_characteristic", "fractional_power",
+    "from_conformal", "hexagon_geometry", "integrate", "laplacian",
+    "load_mesh", "load_state_vector", "newton_solve", "parse_mesh",
+    "parse_state_vector", "rhs", "ricci_potential", "serialize_mesh",
+    "state_from_radii", "to_conformal", "validate_state",
 ]

@@ -13,8 +13,10 @@ through the mesh's index arrays, computes every edge length, arc and (3, 3)
 corner Jacobian d theta / d u with numpy, and sums them with np.bincount into
 K and, when asked, the stored entries of Delta.  The sums run in a fixed
 order (face index ascending, corner slot ascending), so identical inputs give
-bitwise-identical outputs, and Delta is exactly symmetric.  The scalar
-functions in hexgeom are the reference it is tested against.
+bitwise-identical outputs, and Delta is exactly symmetric.  Its Jacobians
+are the package's only derivatives of the hexagon trigonometry.  It is
+tested against the scalar functions in hexgeom for K, and against an mpmath
+evaluation of the same formulas and their chain rule for K and Delta.
 
 Where it reads its input the kernel runs mesh.check_admissible, the one
 admissibility test, so a state built directly as ConformalState(u=...) is

@@ -192,8 +192,9 @@ class FlowConfig:
         object.__setattr__(self, "kbar", _frozen(np.array(self.kbar, dtype=float)))
         if not np.all((self.kbar > 0) & np.isfinite(self.kbar)):
             raise ValueError("every target curvature entry must be positive and finite")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
+        if (isinstance(self.tol, (bool, np.bool_))
+                or not (self.tol > 0 and math.isfinite(self.tol))):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         for name in ("max_steps", "trace_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

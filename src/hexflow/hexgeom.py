@@ -14,8 +14,9 @@ are boundary arcs; the arc opposite edge k has length theta_k with
                    / (sinh l_{k+1} sinh l_{k+2}).
 
 Everything here is a pure function of its float arguments.  These scalar
-functions are the reference for the batched face kernel in curvature, which
-evaluates the same formulas for every face of a mesh at once.  They take
+functions are the reference for the arcs and K of the batched face kernel in
+curvature, which evaluates the same formulas for every face of a mesh at
+once; its derivatives, the face blocks of Delta, are its own.  They take
 radii, not conformal factors, so they test admissibility in r-space, as
 cosh l > 1 + ADMISSIBILITY_MARGIN, and raise StateError for any argument out
 of range; the kernel tests it in u-space (mesh.check_admissible).
@@ -157,53 +158,3 @@ def hexagon_geometry(l: tuple[float, float, float]) -> HexagonGeometry:
     q = math.sinh(l[1]) * math.sinh(l[2]) * math.sinh(theta[0])
     return HexagonGeometry(l=tuple(l), theta=theta, q=q)
 
-
-def d_length_d_radius(r_i: float, r_j: float, phi: float) -> tuple[float, float]:
-    """Partials (dl/dr_i, dl/dr_j) of the edge length, both strictly positive."""
-    l = edge_length(r_i, r_j, phi)
-    sl = math.sinh(l)
-    cl = math.cosh(l)
-    dl_dri = (math.cosh(r_j) + math.cosh(r_i) * cl) / (math.sinh(r_i) * sl)
-    dl_drj = (math.cosh(r_i) + math.cosh(r_j) * cl) / (math.sinh(r_j) * sl)
-    return dl_dri, dl_drj
-
-
-def corner_jacobian(r: tuple[float, float, float],
-                    phi: tuple[float, float, float]) -> np.ndarray:
-    """3x3 matrix m[a][b] = d theta_a / d u_b for one face.
-
-    r[k] is the radius at corner k and phi[k] the weight of the edge opposite
-    corner k (joining the other two corners).  Assembled by the chain rule
-    d theta/d l * d l/d r * d r/d u with d r_k/d u_k = sinh(r_k).  The result
-    is symmetric and negative definite.  An inadmissible pair raises
-    StateError naming the edge slot k, the edge opposite corner k.
-    """
-    lengths = [0.0, 0.0, 0.0]
-    for k in range(3):
-        a, b = (k + 1) % 3, (k + 2) % 3
-        try:
-            lengths[k] = edge_length(r[a], r[b], phi[k])
-        except StateError as exc:
-            raise StateError(f"inadmissible face: edge slot {k}: {exc}") from exc
-    hexa = hexagon_geometry(tuple(lengths))
-    l, theta, q = hexa.l, hexa.theta, hexa.q
-
-    # dtheta[a][e] = d theta_a / d l_e
-    dtheta_dl = np.empty((3, 3))
-    for a in range(3):
-        sla = math.sinh(l[a])
-        for e in range(3):
-            if e == a:
-                dtheta_dl[a][e] = sla / q
-            else:
-                other = 3 - a - e
-                dtheta_dl[a][e] = -sla * math.cosh(theta[other]) / q
-
-    # dl_dr[e][b] = d l_e / d r_b; zero when b is the corner opposite edge e.
-    dl_dr = np.zeros((3, 3))
-    for e in range(3):
-        a, b = (e + 1) % 3, (e + 2) % 3
-        dl_dr[e][a], dl_dr[e][b] = d_length_d_radius(r[a], r[b], phi[e])
-
-    dr_du = np.diag([math.sinh(rk) for rk in r])
-    return dtheta_dl @ dl_dr @ dr_du

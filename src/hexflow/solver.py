@@ -137,8 +137,8 @@ def newton_solve(m: IdealTriangulation, s0: ConformalState | None, kbar,
     _check_target(m, kbar)
     if not np.all((kbar > 0) & np.isfinite(kbar)):
         raise ValueError("every target entry must be positive and finite")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
+    if isinstance(tol, (bool, np.bool_)) or not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:

@@ -1,9 +1,16 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hexflow as hf
+from hexflow.curvature import _hexagons
+
+# the benchmark's torus-grid generator is the tests' one too
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import meshgen
 
 # Frozen oracle values, computed with mpmath at 40 significant digits by
 # direct evaluation of the defining formulas.
@@ -14,7 +21,6 @@ ARC_111 = 1.7049128323580137         # arc_length(1, 1, 1)
 ARC_CHAIN = 1.0067141268431947       # arc_length(L_112, L_112, L_112)
 Q_111 = 3.6731111454375017           # sinh(1)^2 sinh(ARC_111)
 K_PANTS_R1 = 2.0134282536863894      # 2 * ARC_CHAIN
-DLDR_112 = 1.9036801308665639        # d edge_length / d r_i at (1, 1, 2)
 THETA_AT_15 = 5.871347117527181e-07  # arc at r_i = 15, r_j = r_k = 1, phi = 2
 
 PANTS_DOC = {
@@ -108,8 +114,9 @@ def face_thetas(u3, phi3):
     return np.array(hf.hexagon_geometry(lengths).theta)
 
 
-def fd_corner_jacobian(u3, phi3, h=1e-6):
-    """Central finite differences of the face arc lengths in u."""
+def fd_face_block(u3, phi3, h=1e-6):
+    """Central finite differences of the face arc lengths in u; the oracle
+    for face_block."""
     jac = np.zeros((3, 3))
     for b in range(3):
         up, um = list(u3), list(u3)
@@ -119,29 +126,25 @@ def fd_corner_jacobian(u3, phi3, h=1e-6):
     return jac
 
 
+def face_block(u3, phi3):
+    """The face kernel's 3x3 block d theta_a / d u_b of one face with u3[k]
+    at corner k and phi3[k] the weight of the edge opposite it.
+
+    Built on the pants, whose two faces both have corners (3, 1, 2)
+    opposite edges (1, 2, 3), so its first block is the block of any
+    (u, phi) triple (and equals the second)."""
+    doc = json.loads(json.dumps(PANTS_DOC))
+    for e, phi in zip(doc["edges"], phi3):
+        e["phi"] = float(phi)
+    m = hf.parse_mesh(json.dumps(doc))
+    u = np.empty(3)
+    u[m.vertex[0]] = u3
+    return _hexagons(m, u, jacobian=True)[2][0]
+
+
 def torus_grid_doc(n: int, phi) -> dict:
-    """The n x n torus grid (n >= 3): vertex (i, j) -> i*n + j + 1, each
-    square (a, b, c, d) split into faces (a, b, d) and (a, d, c).  phi is
-    indexed by 0-based edge id; square s owns edges 3s+1 (a-b), 3s+2 (a-c)
-    and 3s+3 (a-d)."""
-    def vid(i, j):
-        return (i % n) * n + (j % n) + 1
-
-    def eid(i, j, kind):
-        return 3 * ((i % n) * n + (j % n)) + kind + 1
-
-    edges, faces = [], []
-    for i in range(n):
-        for j in range(n):
-            a, b, c, d = vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)
-            for kind, ends in enumerate(((a, b), (a, c), (a, d))):
-                k = eid(i, j, kind)
-                edges.append({"id": k, "ends": list(ends), "phi": float(phi[k - 1])})
-            faces.append({"edges": [eid(i, j + 1, 1), eid(i, j, 2), eid(i, j, 0)],
-                          "opposite_vertices": [a, b, d]})
-            faces.append({"edges": [eid(i + 1, j, 0), eid(i, j, 1), eid(i, j, 2)],
-                          "opposite_vertices": [a, d, c]})
-    return {"n_boundary": n * n, "edges": edges, "faces": faces}
+    """The n x n torus grid of perfbench/meshgen.py as a mesh document."""
+    return json.loads(meshgen.torus_grid(n, phi))
 
 
 def random_mesh(name, rng):
@@ -149,7 +152,7 @@ def random_mesh(name, rng):
     drawn from U(0.5, 3)."""
     if name.startswith("grid"):
         n = int(name[4:])
-        return hf.parse_mesh(json.dumps(torus_grid_doc(n, rng.uniform(0.5, 3.0, 3 * n * n))))
+        return hf.parse_mesh(meshgen.torus_grid(n, rng.uniform(0.5, 3.0, 3 * n * n)))
     doc = json.loads(json.dumps(PANTS_DOC if name == "pants" else TORUS_DOC))
     for e in doc["edges"]:
         e["phi"] = float(rng.uniform(0.5, 3.0))
@@ -157,14 +160,9 @@ def random_mesh(name, rng):
 
 
 def admissible_state(m, rng, lo=0.05, hi=0.95):
-    """u_i = -U(lo, hi) * min(1, phi_min(i) / 2), phi_min(i) the smallest
-    weight at component i; hi < 1 keeps every edge slack >= (1 - hi) phi."""
-    phi_min = np.full(m.n_boundary, np.inf)
-    for e in m.edges:
-        for v in e.ends:
-            phi_min[v] = min(phi_min[v], e.phi)
-    u = -rng.uniform(lo, hi, m.n_boundary) * np.minimum(1.0, phi_min / 2.0)
-    return hf.validate_state(m, u)
+    """meshgen.scaled_state, validated: u_i = -U(lo, hi) * min(1, phi_min(i) / 2),
+    phi_min(i) the smallest weight at component i."""
+    return hf.validate_state(m, meshgen.scaled_state(m, rng, lo, hi))
 
 
 def reference_curvature(m, s):
@@ -178,16 +176,3 @@ def reference_curvature(m, s):
             k[f.opposite[slot]] += geo.theta[slot]
     return k
 
-
-def reference_laplacian(m, s):
-    """Dense Delta by a loop over faces of hexgeom.corner_jacobian."""
-    r = [hf.from_conformal(x) for x in s.u]
-    phi = {e.id: e.phi for e in m.edges}
-    a = np.zeros((m.n_boundary, m.n_boundary))
-    for f in m.faces:
-        jac = hf.corner_jacobian(tuple(r[v] for v in f.opposite),
-                                 tuple(phi[eid] for eid in f.edges))
-        for p in range(3):
-            for q in range(3):
-                a[f.opposite[p], f.opposite[q]] += jac[p, q]
-    return a

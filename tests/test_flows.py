@@ -56,7 +56,7 @@ class TestFlowKind:
                 ricci_cfg(np.array([1.0]), **{name: bad})
         cfg = ricci_cfg(np.array([1.0]), max_steps=np.int64(3), trace_every=np.int32(2))
         assert (cfg.max_steps, cfg.trace_every) == (3, 2)
-        for bad in (0.0, np.inf, np.nan):
+        for bad in (0.0, np.inf, np.nan, True, np.True_):
             with pytest.raises(ValueError, match="tol"):
                 ricci_cfg(np.array([1.0]), tol=bad)
 

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 import hexflow as hf
 from hexflow.hexgeom import admissibility
-from conftest import (ARC_111, ARC_CHAIN, DLDR_112, L_112, Q_111, R_OF_U1,
-                      THETA_AT_15, U_OF_R1, fd_corner_jacobian)
+from conftest import (ARC_111, ARC_CHAIN, L_112, Q_111, R_OF_U1, THETA_AT_15,
+                      U_OF_R1, face_block, fd_face_block)
 
 
 def rel_err(a, b):
@@ -152,43 +152,11 @@ class TestHexagonGeometry:
         assert geo.q > 2
 
 
-class TestEdgeLengthDerivatives:
-    def test_equal_radii_equal_partials(self):
-        d_i, d_j = hf.d_length_d_radius(1.3, 1.3, 2.5)
-        assert d_i == pytest.approx(d_j, rel=1e-14)
-
-    def test_frozen_value(self):
-        d_i, _ = hf.d_length_d_radius(1.0, 1.0, 2.0)
-        assert rel_err(d_i, DLDR_112) < 1e-13
-
-    def test_against_finite_differences(self):
-        h = 1e-6
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 100:
-            r_i, r_j = rng.uniform(0.3, 3.0, 2)
-            phi = rng.uniform(1.0, 3.0)
-            try:
-                d_i, d_j = hf.d_length_d_radius(r_i, r_j, phi)
-                fd_i = (hf.edge_length(r_i + h, r_j, phi)
-                        - hf.edge_length(r_i - h, r_j, phi)) / (2 * h)
-                fd_j = (hf.edge_length(r_i, r_j + h, phi)
-                        - hf.edge_length(r_i, r_j - h, phi)) / (2 * h)
-            except hf.StateError:
-                continue
-            assert d_i > 0 and d_j > 0
-            assert rel_err(d_i, fd_i) < 1e-6
-            assert rel_err(d_j, fd_j) < 1e-6
-            checked += 1
-
-    def test_inadmissible_pair(self):
-        with pytest.raises(hf.StateError, match="inadmissible radius pair"):
-            hf.d_length_d_radius(0.1, 0.1, 1.0)
-
-
 class TestCornerJacobian:
+    """The face kernel's blocks d theta_a / d u_b, through face_block."""
+
     def test_equilateral_symmetry(self):
-        m = hf.corner_jacobian((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))
+        m = face_block(hf.to_conformal([1.0, 1.0, 1.0]), (2.0, 2.0, 2.0))
         diag = np.diag(m)
         off = m[~np.eye(3, dtype=bool)]
         assert np.allclose(diag, diag[0], rtol=1e-13)
@@ -200,9 +168,8 @@ class TestCornerJacobian:
         for _ in range(20):
             u3 = rng.uniform(-0.9, -0.15, 3)
             phi3 = (2.0, 2.0, 2.0)
-            r3 = tuple(hf.from_conformal(x) for x in u3)
-            m = hf.corner_jacobian(r3, phi3)
-            fd = fd_corner_jacobian(u3, phi3)
+            m = face_block(u3, phi3)
+            fd = fd_face_block(u3, phi3)
             assert np.max(np.abs(m - fd) / np.abs(fd)) < 1e-6
 
     def test_symmetric_negative_definite_on_samples(self):
@@ -213,8 +180,8 @@ class TestCornerJacobian:
             if any(u3[(k + 1) % 3] + u3[(k + 2) % 3] <= -phi3[k] + 1e-3
                    for k in range(3)):
                 continue
-            m = hf.corner_jacobian(tuple(hf.from_conformal(x) for x in u3), phi3)
-            assert np.max(np.abs(m - m.T)) <= 1e-10 * max(1.0, np.max(np.abs(m)))
+            m = face_block(u3, phi3)
+            assert np.array_equal(m, m.T)
             assert np.max(np.linalg.eigvalsh(m)) < 0
 
     def test_matches_expanded_formulas(self):
@@ -253,16 +220,9 @@ class TestCornerJacobian:
             u3 = rng.uniform(-0.9, -0.15, 3)
             r3 = tuple(hf.from_conformal(x) for x in u3)
             phi3 = (2.0, 2.0, 2.0)
-            chain = hf.corner_jacobian(r3, phi3)
+            chain = face_block(u3, phi3)
             closed = expanded(r3, phi3)
             assert np.max(np.abs(chain - closed) / np.abs(closed)) < 1e-10
-
-    def test_inadmissible_face_names_edge(self):
-        # the pairs (0.1, 2.0), (2.0, 0.1) and (0.1, 0.1) of slots 0, 1 and 2
-        # all fail; the first failing slot is reported
-        with pytest.raises(hf.StateError, match="inadmissible face: edge slot 0: "
-                                                "inadmissible radius pair"):
-            hf.corner_jacobian((0.1, 0.1, 2.0), (2.0, 2.0, 2.0))
 
 
 class TestAsymptoticProbes:
@@ -270,7 +230,7 @@ class TestAsymptoticProbes:
         # |dtheta_i/du_i| / (|dtheta_i/du_j| + |dtheta_i/du_k|) grows with r_i
         ratios = []
         for r_i in (2.0, 4.0, 8.0, 16.0):
-            m = hf.corner_jacobian((r_i, 1.0, 1.0), (2.0, 2.0, 2.0))
+            m = face_block(hf.to_conformal([r_i, 1.0, 1.0]), (2.0, 2.0, 2.0))
             ratios.append(abs(m[0, 0]) / (abs(m[0, 1]) + abs(m[0, 2])))
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
 

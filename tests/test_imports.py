@@ -1,7 +1,9 @@
-"""hexflow imports no scipy module.
+"""hexflow imports no scipy module, and exports what it lists.
 
 Importing hexflow, the check, curvature, solve and flow commands and the
 Ricci potential must each leave scipy unloaded in a fresh interpreter.
+Every name in hexflow.__all__ resolves on the package, and none is listed
+twice.
 """
 
 import json
@@ -55,3 +57,8 @@ CLI = "from hexflow.cli import main\nassert main({}) == 0"
 def test_no_scipy_loaded(code, files):
     assert scipy_modules_after(code, files) == []
 
+
+
+def test_public_names_resolve_once():
+    assert len(set(hf.__all__)) == len(hf.__all__)
+    assert [name for name in hf.__all__ if not hasattr(hf, name)] == []

@@ -158,7 +158,7 @@ class TestNewtonSolve:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 hf.newton_solve(pants, pants_r1, np.array([bad, 1.0, 1.0]))
-        for bad in (0.0, np.inf, np.nan):
+        for bad in (0.0, np.inf, np.nan, True, np.True_):
             with pytest.raises(ValueError, match="tol"):
                 hf.newton_solve(pants, pants_r1, np.array([1.0, 1.0, 1.0]), tol=bad)
         with pytest.raises(ValueError, match="max_iter"):
