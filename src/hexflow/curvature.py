@@ -9,14 +9,19 @@ the Newton solver work on them directly: `_apply` multiplies Delta by a
 vector with one np.bincount over them.
 
 All are views of one batched face kernel, _hexagons: it gathers the radii
-through the mesh's index arrays, computes every edge length, arc and (3, 3)
-corner Jacobian d theta / d u with numpy, and sums them with np.bincount into
-K and, when asked, the stored entries of Delta.  The sums run in a fixed
-order (face index ascending, corner slot ascending), so identical inputs give
-bitwise-identical outputs, and Delta is exactly symmetric.  Its Jacobians
-are the package's only derivatives of the hexagon trigonometry.  It is
-tested against the scalar functions in hexgeom for K, and against an mpmath
-evaluation of the same formulas and their chain rule for K and Delta.
+through the mesh's index arrays, computes every edge length and arc, and
+each face's (3, 3) block d theta / d u in closed form, with numpy, and sums
+them with np.bincount into K and, when asked, the stored entries of Delta.
+A block has three diagonal values and one value per side: the derivative
+of the arc at one end of the side in u at the other end, which is the same
+either way round.  It is computed once and written to both places, so the
+block is exactly symmetric by construction.  The sums run in a fixed order
+(face index ascending, corner slot ascending), so identical inputs give
+bitwise-identical outputs, and Delta is exactly symmetric.  The blocks are
+the package's only derivatives of the hexagon trigonometry.  The kernel is
+tested against the scalar functions in hexgeom for K, and against an
+mpmath evaluation of the same formulas for K and Delta, which derives Delta
+independently, by the chain rule d theta/d l . d l/d u.
 
 Where it reads its input the kernel runs mesh.check_admissible, the one
 admissibility test, so a state built directly as ConformalState(u=...) is
@@ -49,10 +54,12 @@ from .mesh import ConformalState, IdealTriangulation, check_admissible
 POTENTIAL_ABS_TOL = 1e-9
 _GL_TOL = 1e-12
 
-# _OTHER[a, e] = 3 - a - e, the slot that is neither a nor e (its diagonal
-# is a placeholder)
-_OTHER = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
-_DIAG = np.arange(3)
+# the column of slot k + 1 and of slot k + 2, for slot k in each column
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+# where the pair value of side k goes in the flattened 3x3 block: row k + 1,
+# column k + 2 (_PAIR[0, k]), and its transpose (_PAIR[1, k])
+_PAIR = np.array([[5, 6, 1], [7, 2, 3]])
 
 
 def _sinh_acosh(x: np.ndarray) -> np.ndarray:
@@ -83,12 +90,14 @@ def _require_finite(total: float, r: np.ndarray) -> None:
 def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
     """The face kernel at the state u: K, and with `jacobian` the tuple
     (K, data, jac) of K, the stored entries data of Delta in the order
-    of m.laplacian_pattern, and the symmetrized corner Jacobians
-    jac[f, a, b] = d theta_a / d u_b (F, 3, 3) that data sums.
+    of m.laplacian_pattern, and the face blocks jac[f, a, b] = d theta_a /
+    d u_b (F, 3, 3) that data sums.
 
-    theta[f, k] is the arc at corner k of face f, opposite side k.  u is
-    checked by mesh.check_admissible before the radii are computed, so
-    radii never sees a u >= 0.
+    theta[f, k] is the arc at corner k of face f, opposite side k.  Each
+    block is written in closed form, and the value of each pair (a, b) is
+    computed once and stored at both (a, b) and (b, a), so jac[f] equals
+    its transpose bit for bit.  u is checked by mesh.check_admissible
+    before the radii are computed, so radii never sees a u >= 0.
     """
     check_admissible(m, u)
     r = radii(u)
@@ -107,22 +116,23 @@ def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
         # positive terms; sinh theta = sqrt(cosh^2 theta - 1) would lose
         # digits for small arcs.  theta = log(cosh theta + sinh theta) is then
         # accurate to a few ulps absolute however small the arc.
-        q = np.sqrt((cl * cl).sum(axis=1) + 2.0 * cl.prod(axis=1) - 1.0)
+        q = np.sqrt((cl * cl).sum(axis=1) + 2.0 * cl.prod(axis=1) - 1.0)[:, None]
         s_adj = sl_next * sl_prev
-        theta = np.log((cl + cl_next * cl_prev + q[:, None]) / s_adj)
+        theta = np.log((cl + cl_next * cl_prev + q) / s_adj)
         total = theta.sum()
         if jacobian:
-            # chain rule d theta/d l . d l/d r . d r/d u, with d r_b/d u_b =
-            # sinh r_b folded into d l/d r
+            # pair[:, k] is d theta_{k+1} / d u_{k+2} = d theta_{k+2} / d u_{k+1},
+            # the value of side k; the diagonal is d theta_k / d u_k
             ct = (cl + cl_next * cl_prev) / s_adj       # cosh theta
-            dtheta_dl = -ct[:, _OTHER]
-            dtheta_dl[:, _DIAG, _DIAG] = 1.0
-            dtheta_dl *= (sl / q[:, None])[:, :, None]
             cr = np.cosh(r)[m.vertex]                   # cosh r at each corner
-            dl_du = (cr[:, _OTHER] + cr[:, None, :] * cl[:, :, None]) / sl[:, :, None]
-            dl_du[:, _DIAG, _DIAG] = 0.0                # side k misses corner k
-            jac = dtheta_dl @ dl_du
-            jac = 0.5 * (jac + jac.transpose(0, 2, 1))
+            ct_next, ct_prev = ct[:, _NEXT], ct[:, _PREV]
+            cr_next, cr_prev = cr[:, _NEXT], cr[:, _PREV]
+            pair = (cr - (cr_next * ct_prev * sl_next + cr_prev * ct_next * sl_prev) / sl) / q
+            jac = np.empty((len(q), 9))
+            jac[:, _PAIR] = pair[:, None]
+            jac[:, ::4] = -(sl / q) * (ct_prev * (cr_prev + cr * cl_next) / sl_next
+                                       + ct_next * (cr_next + cr * cl_prev) / sl_prev)
+            jac = jac.reshape(-1, 3, 3)
             total += jac.sum()
     _require_finite(total, r)
     k = np.bincount(m.vertex.ravel(), weights=theta.ravel(), minlength=m.n_boundary)
