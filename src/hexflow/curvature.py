@@ -17,11 +17,14 @@ of the arc at one end of the side in u at the other end, which is the same
 either way round.  It is computed once and written to both places, so the
 block is exactly symmetric by construction.  The sums run in a fixed order
 (face index ascending, corner slot ascending), so identical inputs give
-bitwise-identical outputs, and Delta is exactly symmetric.  The blocks are
-the package's only derivatives of the hexagon trigonometry.  The kernel is
-tested against the scalar functions in hexgeom for K, and against an
-mpmath evaluation of the same formulas for K and Delta, which derives Delta
-independently, by the chain rule d theta/d l . d l/d u.
+bitwise-identical outputs, and Delta is exactly symmetric.  Each cosh l is
+formed without the cancellation of the defining formula (_edge_cosh), and
+each arc as an asinh, so K keeps its relative accuracy for small weights
+and large radii (the tests go to radii of 40, with arcs near 1e-17).  The
+blocks are the package's only derivatives of the hexagon trigonometry.
+The kernel is tested against the scalar functions in hexgeom for K, and
+against an mpmath evaluation of the same formulas for K and Delta, which
+derives Delta independently, by the chain rule d theta/d l . d l/d u.
 
 Where it reads its input the kernel runs mesh.check_admissible, the one
 admissibility test, so a state built directly as ConformalState(u=...) is
@@ -70,14 +73,17 @@ def _sinh_acosh(x: np.ndarray) -> np.ndarray:
 def _edge_cosh(m: IdealTriangulation, r: np.ndarray) -> np.ndarray:
     """cosh of every edge length of m at the radii r, in edge order.
 
-    Greater than 1 at admissible radii, which its callers have checked; an
-    overflow gives inf or NaN, so callers run it under np.errstate and test
-    their result with _require_finite.
+    cosh l = cosh(phi) sinh r_i sinh r_j - cosh r_i cosh r_j, evaluated as
+    2 sinh^2(phi/2) sinh r_i sinh r_j - cosh(r_i - r_j): the two products
+    of the first form nearly cancel when phi is small and the radii large,
+    and cosh(phi) rounds to 1 below phi = 1.5e-8.  Exactly symmetric in
+    (r_i, r_j), since cosh is even.  Greater than 1 at admissible radii,
+    which its callers have checked; an overflow gives inf or NaN, so callers
+    run it under np.errstate and test their result with _require_finite.
     """
-    sh, ch = np.sinh(r), np.cosh(r)
+    sh = np.sinh(r)
     i, j = m.ends[:, 0], m.ends[:, 1]
-    # grouped as in hexgeom.admissibility, so exactly symmetric in (r_i, r_j)
-    return m.cosh_phi * (sh[i] * sh[j]) - ch[i] * ch[j]
+    return m.cosh_phi_minus_1 * (sh[i] * sh[j]) - np.cosh(r[i] - r[j])
 
 
 def _require_finite(total: float, r: np.ndarray) -> None:
@@ -105,8 +111,8 @@ def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
     # so that building it does not raise the kernel's peak memory
     p = m.laplacian_pattern if jacobian else None
     # products of cosh l and cosh r overflow once the radii of a face reach
-    # about 120, far past the radius (about 40) where the arcs underflow;
-    # _require_finite turns the resulting inf and NaN into a StateError
+    # about 120, where the arcs are about 1e-51; _require_finite turns the
+    # resulting inf and NaN into a StateError
     with np.errstate(all="ignore"):
         x = _edge_cosh(m, r)
         cl, cl_next, cl_prev = x[m.sides]               # cosh l, each (F, 3)
@@ -114,11 +120,12 @@ def _hexagons(m: IdealTriangulation, u: np.ndarray, jacobian: bool):
         # q = sinh l_{k+1} sinh l_{k+2} sinh theta_k is the same at every
         # corner and equals sqrt(sum cosh^2 l + 2 prod cosh l - 1), a sum of
         # positive terms; sinh theta = sqrt(cosh^2 theta - 1) would lose
-        # digits for small arcs.  theta = log(cosh theta + sinh theta) is then
-        # accurate to a few ulps absolute however small the arc.
+        # digits for small arcs.  theta = asinh(q / (sinh l_{k+1} sinh
+        # l_{k+2})) is then accurate to a few ulps relative however small the
+        # arc, where log(cosh theta + sinh theta) is accurate only absolutely.
         q = np.sqrt((cl * cl).sum(axis=1) + 2.0 * cl.prod(axis=1) - 1.0)[:, None]
         s_adj = sl_next * sl_prev
-        theta = np.log((cl + cl_next * cl_prev + q) / s_adj)
+        theta = np.arcsinh(q / s_adj)
         total = theta.sum()
         if jacobian:
             # pair[:, k] is d theta_{k+1} / d u_{k+2} = d theta_{k+2} / d u_{k+1},

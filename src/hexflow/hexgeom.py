@@ -15,8 +15,13 @@ are boundary arcs; the arc opposite edge k has length theta_k with
 
 Everything here is a pure function of its float arguments.  These scalar
 functions are the reference for the arcs and K of the batched face kernel in
-curvature, which evaluates the same formulas for every face of a mesh at
-once; its derivatives, the face blocks of Delta, are its own.  They take
+curvature, which evaluates an equivalent, better-conditioned form of the
+same formulas for every face of a mesh at once: cosh l as
+2 sinh^2(phi/2) sinh r_i sinh r_j - cosh(r_i - r_j), and each arc as
+asinh(q / (sinh l_{k+1} sinh l_{k+2})).  The forms here lose digits where
+those do not: cosh l cancels for small weights and large radii, and an arc
+from cosh theta near 1 is accurate only in absolute terms.  The kernel's
+derivatives, the face blocks of Delta, are its own.  These functions take
 radii, not conformal factors, so they test admissibility in r-space, as
 cosh l > 1 + ADMISSIBILITY_MARGIN, and raise StateError for any argument out
 of range; the kernel tests it in u-space (mesh.check_admissible).

@@ -204,8 +204,10 @@ class IdealTriangulation:
                 and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _ARRAYS))
 
     @cached_property
-    def cosh_phi(self) -> np.ndarray:
-        return _frozen(np.cosh(self.phi))
+    def cosh_phi_minus_1(self) -> np.ndarray:
+        """cosh(phi) - 1 of every edge weight, as 2 sinh^2(phi/2), which
+        keeps its relative accuracy where cosh(phi) rounds to 1."""
+        return _frozen(2.0 * np.sinh(0.5 * self.phi) ** 2)
 
     # zip(*a.T.tolist()) gives the rows of a as tuples
     @cached_property

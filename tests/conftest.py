@@ -63,6 +63,13 @@ def torus():
     return hf.parse_mesh(json.dumps(TORUS_DOC))
 
 
+def pants_doc_with_weight(phi: float) -> dict:
+    """The pants document with edge 1's weight set to phi."""
+    doc = json.loads(json.dumps(PANTS_DOC))
+    doc["edges"][0]["phi"] = phi
+    return doc
+
+
 def disjoint_union(doc_a: dict, doc_b: dict) -> dict:
     """File-level disjoint union of two mesh documents."""
     na = doc_a["n_boundary"]

@@ -10,7 +10,8 @@ import pytest
 
 import hexflow as hf
 from hexflow.cli import log_level, main
-from conftest import DEEP, K_PANTS_R1, PANTS_DOC, TORUS_DOC, U_OF_R1
+from conftest import (DEEP, K_PANTS_R1, PANTS_DOC, TORUS_DOC, U_OF_R1,
+                      pants_doc_with_weight)
 
 
 @pytest.fixture
@@ -105,6 +106,17 @@ class TestCurvature:
         # u = -1e-300 is admissible, but its radius (691) overflows the kernel
         state = write_json(tmp_path, "huge_r.json", {"u": [-1e-300, -0.5, -0.5]})
         assert main(["curvature", pants_file, "--state", state]) == 3
+
+    def test_small_weight_at_default_start(self, tmp_path, capsys):
+        # cosh(1e-8) rounds to 1; the edge cosh must not be formed from it
+        doc = pants_doc_with_weight(1e-8)
+        m = hf.parse_mesh(json.dumps(doc))
+        s0 = hf.default_start(m)
+        mesh = write_json(tmp_path, "thin.json", doc)
+        state = write_json(tmp_path, "start.json", {"u": s0.u.tolist()})
+        assert main(["curvature", mesh, "--state", state]) == 0
+        assert np.allclose(json.loads(capsys.readouterr().out)["K"], hf.curvature(m, s0),
+                           rtol=1e-14, atol=0.0)
 
     def test_inadmissible_pair_exit_3(self, pants_file, r1_state_file,
                                       monkeypatch):

@@ -2,12 +2,17 @@
 hexgeom reference.
 
 The oracle, exact_hexagons, evaluates the hexagon formulas and their chain
-rule with mpmath; it is the reference for K and for Delta.  The kernel must
-be within 1e-13 (K) and 1e-12 max|Delta| (Delta) of its values.  The float
-hexgeom functions are a second reference for K alone: they pass each edge
-as its length l and recompute cosh l from it, which costs them digits once
-the radii grow and the arcs shrink (up to 5e-13 in K on the states below),
-so the kernel agrees with them to its bound plus their own error.
+rule with mpmath; it is the reference for K and for Delta, and its chain
+rule derives Delta independently of the kernel's closed-form blocks.  The
+kernel must be within 1e-13 (K) and 1e-12 max|Delta| (Delta) of its values
+at normal states, and within a few ulps, K relative to itself, at radii
+20-40 and at weights down to 1e-10.  The float hexgeom functions are a
+second reference for K alone: they pass each edge as its length l and
+recompute cosh l from it, which costs them digits once the radii grow and
+the arcs shrink (up to 5e-13 in K on the states below), so the kernel
+agrees with them to its bound plus their own error.  A walk around the
+hexagon in SO(2, 1), closure_defect, checks the pairing of arcs and sides
+that all three share.
 """
 
 import json
@@ -20,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csc_array
 
 import hexflow as hf
-from conftest import (PANTS_DOC, admissible_state, disjoint_union, random_mesh,
-                      reference_curvature)
+from conftest import (PANTS_DOC, admissible_state, disjoint_union, pants_doc_with_weight,
+                      random_mesh, reference_curvature)
 
 MESHES = ["pants", "torus"] + [f"grid{n}" for n in range(3, 11)]
 
@@ -84,6 +89,62 @@ def test_kernel_matches_scalar_reference(name, seed):
     again = hf.validate_state(m, s.u.copy())
     assert np.array_equal(hf.curvature(m, again), k)
     assert np.array_equal(hf.laplacian(m, again), a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["pants", "torus", "grid3", "grid4"])
+def test_large_radii_match_oracle(name, seed):
+    # arcs of 1e-17 to 1e-8, so K is compared relative to itself
+    rng = np.random.default_rng(seed)
+    m = random_mesh(name, rng)
+    s = hf.state_from_radii(m, rng.uniform(20.0, 40.0, m.n_boundary))
+    k_exact, a_exact = exact_hexagons(m, s.u, digits=60)
+    assert np.max(np.abs(hf.curvature(m, s) / k_exact - 1.0)) <= 2e-15
+    assert np.max(np.abs(hf.laplacian(m, s) - a_exact)) <= 2e-15 * np.max(np.abs(a_exact))
+
+
+@pytest.mark.parametrize("phi", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-10])
+def test_small_weight_matches_oracle(phi):
+    # the default start has u = -phi/4 and radii of about log(8/phi), so
+    # cosh(phi) sinh r_i sinh r_j - cosh r_i cosh r_j cancels, and cosh(phi)
+    # rounds to 1 below phi = 1.5e-8; 60 digits, since at 30 the oracle's
+    # own cosh(phi) cancels at phi = 1e-8
+    m = hf.parse_mesh(json.dumps(pants_doc_with_weight(phi)))
+    s = hf.default_start(m)
+    k_exact, a_exact = exact_hexagons(m, s.u, digits=60)
+    assert np.max(np.abs(hf.curvature(m, s) / k_exact - 1.0)) <= 4e-15
+    assert np.max(np.abs(hf.laplacian(m, s) - a_exact)) <= 4e-15 * np.max(np.abs(a_exact))
+
+
+def closure_defect(m, s, arcs_after):
+    """Walk a face of the pants m at the state s in SO(2, 1): each side in
+    turn (l_0, theta_{arcs_after[0]}, l_1, ...) is a boost by its length,
+    then a turn by pi/2.  Returns |walk - I|max / prod cosh(side), which is
+    0 when the sides close a right-angled hexagon."""
+    # both faces of the pants have corners (3, 1, 2) opposite edges
+    # (1, 2, 3), so the arc at corner k of either is half of K there
+    lengths = hf.edge_lengths(m, s)
+    theta = hf.curvature(m, s)[[2, 0, 1]] / 2
+    sides = [x for k, a in enumerate(arcs_after) for x in (lengths[k], theta[a])]
+    turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    walk = np.eye(3)
+    for t in sides:
+        ch, sh = np.cosh(t), np.sinh(t)
+        walk = walk @ np.array([[ch, 0.0, sh], [0.0, 1.0, 0.0], [sh, 0.0, ch]]) @ turn
+    return np.max(np.abs(walk - np.eye(3))) / np.prod(np.cosh(sides))
+
+
+def test_hexagon_closes(pants):
+    # side l_k joins the corners k + 1 and k + 2, so the arc met after it is
+    # theta_{k+2}; an independent check of the cosine law's pairing, which
+    # the kernel, hexgeom and the mpmath oracle share
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        m = random_mesh("pants", rng)
+        assert closure_defect(m, admissible_state(m, rng), [2, 0, 1]) <= 1e-14
+    s = hf.state_from_radii(pants, [0.5, 1.5, 3.0])
+    assert closure_defect(pants, s, [2, 0, 1]) <= 1e-14
+    assert closure_defect(pants, s, [0, 1, 2]) > 1e-3
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, "pants", "torus"])
